@@ -9,26 +9,36 @@ figure       canonical curve files fig1 / fig2 / fig3
 peak         transient-entanglement peak (time, height) for g < 1
 
 Exit codes: 0 success, 2 invalid input state, 3 unsupported parameter
-combination.
+combination or parameter out of range, 4 numerical failure (the RK4 step
+is too large for the rates, or an eigensolver did not converge).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 import numpy as np
 
 from . import entanglement, propagator, qmat, states, statefile
-from .model import IntegratorConfig, ModelParams, evolve_series
-from .statefile import StateFileError, TimeSeries
+from .model import (
+    IntegratorConfig,
+    ModelParams,
+    ParameterError,
+    StepTooLargeError,
+    evolve_series,
+    time_grid,
+)
+from .statefile import StateFileError
 
 EXIT_OK = 0
 EXIT_BAD_STATE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_NUMERICAL = 4
 
-_SWAP_AB = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+_SWAP_AB = [0, 2, 1, 3]
 
 
 class UnsupportedClosedFormError(ValueError):
@@ -37,6 +47,8 @@ class UnsupportedClosedFormError(ValueError):
 
 def _load_state(source: str, seed) -> np.ndarray:
     if source == "random":
+        if seed is not None and seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         return qmat.random_density_matrix(rng)
     if source == "-":
@@ -45,13 +57,20 @@ def _load_state(source: str, seed) -> np.ndarray:
         return statefile.load_state(fp)
 
 
-def _open_output(path):
+@contextlib.contextmanager
+def _output(path):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fp:
+            yield fp
 
 
-def _closed_form_general(rho0: np.ndarray, gamma0: float, gamma: float, t: float) -> np.ndarray:
+def _t_max(args, params: ModelParams) -> float:
+    return args.t_max if args.t_max is not None else 5.0 / params.gamma0
+
+
+def _closed_form_general(rho0: np.ndarray, gamma0: float, gamma: float, t) -> np.ndarray:
     """Closed form at g < 1 for the few initial states that have one."""
     atol = 1e-12
     excited_ground = states.product_state(qmat.EXCITED, qmat.GROUND)
@@ -60,7 +79,8 @@ def _closed_form_general(rho0: np.ndarray, gamma0: float, gamma: float, t: float
         return propagator.evolve_excited_ground_general(gamma0, gamma, t)
     if np.allclose(rho0, ground_excited, atol=atol):
         # atom-swap symmetry of the generator: relabel indices 2 <-> 3
-        return propagator.evolve_excited_ground_general(gamma0, gamma, t)[_SWAP_AB]
+        out = propagator.evolve_excited_ground_general(gamma0, gamma, t)
+        return out[..., _SWAP_AB, :][..., _SWAP_AB]
     if np.allclose(rho0, states.bell("psi_plus"), atol=atol):
         return propagator.evolve_bell_general(+1, gamma0, gamma, t)
     if np.allclose(rho0, states.bell("psi_minus"), atol=atol):
@@ -73,44 +93,34 @@ def _closed_form_general(rho0: np.ndarray, gamma0: float, gamma: float, t: float
 def cmd_evolve(args) -> int:
     rho0 = _load_state(args.state, args.seed)
     params = ModelParams(gamma0=args.gamma0, g=args.g)
-    t_max = args.t_max if args.t_max is not None else 5.0 / args.gamma0
-    grid = np.linspace(0.0, t_max, args.samples)
+    t_max = _t_max(args, params)
+    grid = time_grid(t_max, args.samples)
     if args.method == "rk4":
         traj = evolve_series(rho0, params, grid, IntegratorConfig(step=args.dt))
     elif params.g == 1.0:
-        traj = [propagator.evolve_g1(rho0, params.gamma0, t) for t in grid]
+        traj = propagator.evolve_g1(rho0, params.gamma0, grid)
     else:
-        traj = [
-            _closed_form_general(rho0, params.gamma0, params.gamma, t) for t in grid
-        ]
-    conc = np.array([entanglement.concurrence(r) for r in traj])
-    ts = TimeSeries(
-        times=grid,
-        concurrences=conc,
-        states=traj if args.with_rho else None,
-        metadata={
-            "scenario": "evolve",
-            "gamma0": args.gamma0,
-            "g": args.g,
-            "method": args.method,
-            "grid": {"t_max": t_max, "samples": args.samples},
-        },
-    )
-    fp, close = _open_output(args.output)
-    try:
-        if args.format == "csv":
-            statefile.write_timeseries_csv(ts, fp)
-        else:
-            statefile.write_timeseries_json(ts, fp)
-    finally:
-        if close:
-            fp.close()
+        traj = _closed_form_general(rho0, params.gamma0, params.gamma, grid)
+    columns = {"t": grid, "concurrence": entanglement.concurrence(traj)}
+    if args.with_rho:
+        columns["rho"] = traj
+    metadata = {
+        "scenario": "evolve",
+        "gamma0": args.gamma0,
+        "g": args.g,
+        "method": args.method,
+        "grid": {"t_max": t_max, "samples": args.samples},
+    }
+    with _output(args.output) as fp:
+        statefile.write_table(columns, metadata, args.format, fp)
     return EXIT_OK
 
 
 def cmd_asymptotic(args) -> int:
     rho0 = _load_state(args.state, args.seed)
-    if args.g == 1.0:
+    # the stationary state does not depend on gamma0
+    params = ModelParams(gamma0=1.0, g=args.g)
+    if params.g == 1.0:
         pars = propagator.asymptotic_params(rho0)
         rho_as = propagator.stationary_matrix(pars)
         conc = entanglement.concurrence(rho_as)
@@ -130,8 +140,7 @@ def cmd_asymptotic(args) -> int:
             "concurrence": 0.0,
             "note": "uniquely relaxing for g < 1: asymptotic state is ground x ground",
         }
-    fp, close = _open_output(args.output)
-    try:
+    with _output(args.output) as fp:
         if args.format == "json":
             json.dump(payload, fp, indent=1)
             fp.write("\n")
@@ -145,9 +154,6 @@ def cmd_asymptotic(args) -> int:
             for row in np.asarray(rho_as):
                 fp.write("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row) + "\n")
             fp.write(f"concurrence = {payload['concurrence']!r}\n")
-    finally:
-        if close:
-            fp.close()
     return EXIT_OK
 
 
@@ -158,15 +164,19 @@ def cmd_concurrence(args) -> int:
 
 
 def cmd_peak(args) -> int:
-    if not 0.0 < args.g < 1.0:
+    params = ModelParams(gamma0=args.gamma0, g=args.g)
+    if not 0.0 < params.g < 1.0:
         raise propagator.DegenerateRatesError(
             f"peak requires 0 < g < 1, got g={args.g}"
         )
-    gamma0, gamma = args.gamma0, args.g * args.gamma0
+    gamma0, gamma = params.gamma0, params.gamma
     t_pk = propagator.t_gamma(gamma0, gamma)
     c_pk = propagator.c_max(gamma0, gamma)
     # brute-force verification on a fine grid
-    grid = np.arange(0.0, 20.0 / gamma0, 1e-4 / gamma0)
+    t_end = 20.0 / gamma0
+    if not t_end < np.inf:
+        raise ParameterError(f"gamma0={gamma0} is too small for the peak search grid")
+    grid = np.arange(0.0, t_end, 1e-4 / gamma0)
     vals = np.exp(-gamma0 * grid) * np.sinh(gamma * grid)
     i = int(np.argmax(vals))
     payload = {
@@ -179,75 +189,51 @@ def cmd_peak(args) -> int:
         "residual_t": float(abs(grid[i] - t_pk)),
         "residual_c": float(abs(vals[i] - c_pk)),
     }
-    fp, close = _open_output(args.output)
-    try:
+    with _output(args.output) as fp:
         if args.format == "json":
             json.dump(payload, fp, indent=1)
             fp.write("\n")
         else:
             for key in ("t_gamma", "c_max", "grid_t", "grid_c", "residual_t", "residual_c"):
                 fp.write(f"{key} = {payload[key]!r}\n")
-    finally:
-        if close:
-            fp.close()
     return EXIT_OK
 
 
-def _figure_columns(which: str, gamma0: float, t_max: float, samples: int):
+def _figure_columns(which: str, params: ModelParams, grid: np.ndarray):
+    gamma0 = params.gamma0
     if which == "fig1":
-        grid = np.linspace(0.0, t_max, samples)
-        phi = states.bell("phi_plus")
-        c_phi = np.array(
-            [entanglement.concurrence(propagator.evolve_g1(phi, gamma0, t)) for t in grid]
+        c_phi = entanglement.concurrence(
+            propagator.evolve_g1(states.bell("phi_plus"), gamma0, grid)
         )
         c_psi = np.exp(-2.0 * gamma0 * grid)
         return {"t": grid, "c_phi_plus": c_phi, "c_psi_plus": c_psi}, {
             "scenario": "fig1", "gamma0": gamma0, "g": 1.0,
         }
     if which == "fig2":
-        deltas = np.linspace(0.0, 1.0, samples)
-        pur = np.array([states.purity(states.mems(d)) for d in deltas])
-        c_m = np.array([entanglement.concurrence(states.mems(d)) for d in deltas])
-        c_as = np.array(
-            [entanglement.asymptotic_concurrence(states.mems(d)) for d in deltas]
-        )
+        deltas = np.linspace(0.0, 1.0, len(grid))
+        family = states.mems(deltas)
         return {
-            "delta": deltas, "purity": pur, "c_initial": c_m, "c_asymptotic": c_as,
+            "delta": deltas,
+            "purity": states.purity(family),
+            "c_initial": entanglement.concurrence(family),
+            "c_asymptotic": entanglement.asymptotic_concurrence(family),
         }, {"scenario": "fig2", "g": 1.0}
     if which == "fig3":
-        g = 0.99
-        gamma = g * gamma0
-        grid = np.linspace(0.0, t_max, samples)
-        c_plus = np.array(
-            [
-                entanglement.concurrence(propagator.evolve_bell_general(+1, gamma0, gamma, t))
-                for t in grid
-            ]
-        )
-        c_minus = np.array(
-            [
-                entanglement.concurrence(propagator.evolve_bell_general(-1, gamma0, gamma, t))
-                for t in grid
-            ]
-        )
+        plus = propagator.evolve_bell_general(+1, gamma0, params.gamma, grid)
+        minus = propagator.evolve_bell_general(-1, gamma0, params.gamma, grid)
+        c_plus, c_minus = entanglement.concurrence(plus), entanglement.concurrence(minus)
         return {"t": grid, "c_plus": c_plus, "c_minus": c_minus}, {
-            "scenario": "fig3", "gamma0": gamma0, "g": g,
+            "scenario": "fig3", "gamma0": gamma0, "g": params.g,
         }
     raise ValueError(f"unknown figure {which!r}")
 
 
 def cmd_figure(args) -> int:
-    t_max = args.t_max if args.t_max is not None else 5.0 / args.gamma0
-    columns, meta = _figure_columns(args.which, args.gamma0, t_max, args.samples)
-    fp, close = _open_output(args.output)
-    try:
-        if args.format == "csv":
-            statefile.write_curves_csv(columns, fp)
-        else:
-            statefile.write_curves_json(columns, meta, fp)
-    finally:
-        if close:
-            fp.close()
+    params = ModelParams(gamma0=args.gamma0, g=0.99 if args.which == "fig3" else 1.0)
+    grid = time_grid(_t_max(args, params), args.samples)
+    columns, metadata = _figure_columns(args.which, params, grid)
+    with _output(args.output) as fp:
+        statefile.write_table(columns, metadata, args.format, fp)
     return EXIT_OK
 
 
@@ -319,12 +305,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
     except (
+        ParameterError,
         UnsupportedClosedFormError,
         propagator.DegenerateRatesError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (StepTooLargeError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def entry() -> None:

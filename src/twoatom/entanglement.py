@@ -29,7 +29,7 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
 
 
 def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho * spin_flip(rho).
+    """Descending square roots of the eigenvalues of rho * spin_flip(rho), shape (..., 4).
 
     Computed as the singular values of sqrt(rho) (s2 x s2) conj(sqrt(rho)),
     which carries the same spectrum but is backward stable: true-zero
@@ -39,26 +39,29 @@ def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     return np.linalg.svd(s @ SPIN_FLIP_OP @ s.conj(), compute_uv=False)
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray):
     """Concurrence C(rho) = max(0, l1 - l2 - l3 - l4) in [0, 1].
 
     The l_i are the descending square roots of the spectrum of
     rho * spin_flip(rho); 0 for separable states, 1 for maximally
-    entangled pure states.
+    entangled pure states.  A float for one 4x4 state, an array of shape S
+    for a stack of shape S + (4, 4).
     """
     lam = wootters_lambdas(rho)
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return float(np.clip(c, 0.0, 1.0))
+    c = np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
+    return c if c.ndim else float(c)
 
 
-def asymptotic_concurrence(rho0: np.ndarray) -> float:
+def asymptotic_concurrence(rho0: np.ndarray):
     """Concurrence of the g = 1 stationary state, from initial matrix elements.
 
     Equals 2|alpha| = |rho22 + rho33 - 2 Re rho23| / 2; validated against the
     full concurrence of the constructed stationary state in the test suite.
+    A float for one 4x4 state, an array for a stack of states.
     """
     r = np.asarray(rho0, dtype=complex)
-    return float(0.5 * abs((r[1, 1] + r[2, 2] - 2.0 * r[1, 2].real).real))
+    c = 0.5 * np.abs((r[..., 1, 1] + r[..., 2, 2] - 2.0 * r[..., 1, 2].real).real)
+    return c if c.ndim else float(c)
 
 
 def product_asymptotic_concurrence(psi: np.ndarray, phi: np.ndarray) -> float:

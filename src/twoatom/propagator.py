@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmat
+_LOWER = np.tril_indices(4, -1)
 
 
 class DegenerateRatesError(ValueError):
@@ -44,15 +44,17 @@ class AsymptoticParams:
             raise ValueError(f"alpha must lie in [0, 1/2], got {self.alpha}")
 
 
-def evolve_g1(rho0: np.ndarray, gamma0: float, t: float) -> np.ndarray:
+def evolve_g1(rho0: np.ndarray, gamma0: float, t) -> np.ndarray:
     """Closed-form state at time t for equal rates (g = 1).
 
     Implements the ten independent matrix-element formulas, including the
     secular gamma0*t*exp(-2*gamma0*t) feeding of the one-excitation sector
     from the doubly excited population; the lower triangle follows by
-    hermiticity of the initial state.
+    hermiticity of the initial state.  An array ``t`` of shape S gives the
+    states stacked to shape S + (4, 4).
     """
     r = np.asarray(rho0, dtype=complex)
+    t = np.asarray(t, dtype=float)
     e1 = np.exp(-gamma0 * t)
     e2 = np.exp(-2.0 * gamma0 * t)
     sec = gamma0 * t * e2
@@ -64,32 +66,30 @@ def evolve_g1(rho0: np.ndarray, gamma0: float, t: float) -> np.ndarray:
     sym = r22 + r33 + 2.0 * re23   # symmetric-sector population (x2)
     asym = r22 + r33 - 2.0 * re23  # antisymmetric-sector population (x2)
 
-    out = np.empty((4, 4), dtype=complex)
-    out[0, 0] = e2 * r11
-    out[0, 1] = 0.5 * (e2 * (r12 + r13) + e1 * (r12 - r13))
-    out[0, 2] = 0.5 * (e2 * (r12 + r13) + e1 * (r13 - r12))
-    out[0, 3] = e1 * r14
-    out[1, 1] = 0.25 * e2 * sym + 0.5 * e1 * (r22 - r33) + sec * r11 + 0.25 * asym
-    out[1, 2] = 0.25 * e2 * sym + 0.5 * e1 * (r23 - r32) + sec * r11 - 0.25 * asym
-    out[1, 3] = (
+    out = np.empty(t.shape + (4, 4), dtype=complex)
+    out[..., 0, 0] = e2 * r11
+    out[..., 0, 1] = 0.5 * (e2 * (r12 + r13) + e1 * (r12 - r13))
+    out[..., 0, 2] = 0.5 * (e2 * (r12 + r13) + e1 * (r13 - r12))
+    out[..., 0, 3] = e1 * r14
+    out[..., 1, 1] = 0.25 * e2 * sym + 0.5 * e1 * (r22 - r33) + sec * r11 + 0.25 * asym
+    out[..., 1, 2] = 0.25 * e2 * sym + 0.5 * e1 * (r23 - r32) + sec * r11 - 0.25 * asym
+    out[..., 1, 3] = (
         -e2 * (r12 + r13)
         + 0.5 * e1 * (2.0 * r12 + 2.0 * r13 + r24 + r34)
         + 0.5 * (r24 - r34)
     )
-    out[2, 2] = 0.25 * e2 * sym - 0.5 * e1 * (r22 - r33) + sec * r11 + 0.25 * asym
-    out[2, 3] = (
+    out[..., 2, 2] = 0.25 * e2 * sym - 0.5 * e1 * (r22 - r33) + sec * r11 + 0.25 * asym
+    out[..., 2, 3] = (
         -e2 * (r12 + r13)
         + 0.5 * e1 * (2.0 * r12 + 2.0 * r13 + r24 + r34)
         - 0.5 * (r24 - r34)
     )
-    out[3, 3] = (
+    out[..., 3, 3] = (
         -0.5 * e2 * (1.0 + r11 - r44 + 2.0 * re23)
         - 2.0 * sec * r11
         + 0.5 * (1.0 + r11 + r44 + 2.0 * re23)
     )
-    for j in range(4):
-        for k in range(j):
-            out[j, k] = np.conj(out[k, j])
+    out[..., _LOWER[0], _LOWER[1]] = out[..., _LOWER[1], _LOWER[0]].conj()
     return out
 
 
@@ -122,29 +122,31 @@ def asymptotic_state(rho0: np.ndarray) -> np.ndarray:
     return stationary_matrix(asymptotic_params(rho0))
 
 
-def evolve_excited_ground_general(gamma0: float, gamma: float, t: float) -> np.ndarray:
+def evolve_excited_ground_general(gamma0: float, gamma: float, t) -> np.ndarray:
     """State at time t for one atom excited, one ground, at exchange rate gamma < gamma0.
 
     The initial excitation sits on atom A (entry (2,2) at t = 0); swapping
     the atoms relabels indices 2 <-> 3 and leaves the concurrence unchanged.
+    An array ``t`` of shape S gives the states stacked to shape S + (4, 4).
     """
     if not 0.0 <= gamma < gamma0:
         raise ValueError(f"need 0 <= gamma < gamma0, got gamma={gamma}, gamma0={gamma0}")
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {t}")
     e = np.exp(-gamma0 * t)
     ch = np.cosh(gamma * t)
     sh = np.sinh(gamma * t)
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 1] = 0.5 * e * (ch + 1.0)
-    m[2, 2] = 0.5 * e * (ch - 1.0)
-    m[1, 2] = -0.5 * e * sh
-    m[2, 1] = -0.5 * e * sh
-    m[3, 3] = 1.0 - e * ch
+    m = np.zeros(t.shape + (4, 4), dtype=complex)
+    m[..., 1, 1] = 0.5 * e * (ch + 1.0)
+    m[..., 2, 2] = 0.5 * e * (ch - 1.0)
+    m[..., 1, 2] = -0.5 * e * sh
+    m[..., 2, 1] = -0.5 * e * sh
+    m[..., 3, 3] = 1.0 - e * ch
     return m
 
 
-def evolve_bell_general(sign: int, gamma0: float, gamma: float, t: float) -> np.ndarray:
+def evolve_bell_general(sign: int, gamma0: float, gamma: float, t) -> np.ndarray:
     """State at time t for a one-excitation Bell start at exchange rate gamma.
 
     ``sign`` +1 selects the symmetric (superradiant) state decaying at
@@ -153,20 +155,22 @@ def evolve_bell_general(sign: int, gamma0: float, gamma: float, t: float) -> np.
     Bell state, as required by the generator (the superradiant/subradiant
     sectors are eigenspaces of the exchange operator, so the coherence
     pattern is preserved while the population drains to the ground state).
+    An array ``t`` of shape S gives the states stacked to shape S + (4, 4).
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not 0.0 <= gamma <= gamma0:
         raise ValueError(f"need 0 <= gamma <= gamma0, got gamma={gamma}, gamma0={gamma0}")
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {t}")
     e = np.exp(-(gamma0 + sign * gamma) * t)
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 1] = 0.5 * e
-    m[2, 2] = 0.5 * e
-    m[1, 2] = sign * 0.5 * e
-    m[2, 1] = sign * 0.5 * e
-    m[3, 3] = 1.0 - e
+    m = np.zeros(t.shape + (4, 4), dtype=complex)
+    m[..., 1, 1] = 0.5 * e
+    m[..., 2, 2] = 0.5 * e
+    m[..., 1, 2] = sign * 0.5 * e
+    m[..., 2, 1] = sign * 0.5 * e
+    m[..., 3, 3] = 1.0 - e
     return m
 
 

@@ -61,8 +61,8 @@ class InvalidStateError(ValueError):
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,7 +111,7 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndar
 
 
 def sqrt_psd(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of each in a stack.
 
     Eigenvalues in [-tol, 0) are clamped to zero (floating-point noise on
     PSD matrices); anything below -tol raises ``NotPSDError``.
@@ -121,10 +121,11 @@ def sqrt_psd(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     w, v = np.linalg.eigh(0.5 * (m + dag(m)))
-    if w[0] < -tol:
-        raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} below -{tol:.1e}")
+    min_eig = w[..., 0].min()
+    if min_eig < -tol:
+        raise NotPSDError(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
     w = np.where(w < 0.0, 0.0, w)
-    s = (v * np.sqrt(w)) @ dag(v)
+    s = (v * np.sqrt(w)[..., None, :]) @ dag(v)
     return 0.5 * (s + dag(s))
 
 

@@ -1,4 +1,4 @@
-"""JSON state files and CSV/JSON time-series output.
+"""JSON state files and CSV/JSON table output.
 
 A state file is a JSON object in one of two forms:
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,10 +110,15 @@ def load_state(fp) -> np.ndarray:
     return parse_state(obj)
 
 
+def _pairs(rho: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) complex to (..., 16, 2) real: row-major [re, im] pairs."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.stack([rho.real, rho.imag], axis=-1).reshape(rho.shape[:-2] + (16, 2))
+
+
 def state_to_entries(rho: np.ndarray) -> list[list[float]]:
     """Row-major [re, im] pairs; floats round-trip exactly through JSON."""
-    rho = np.asarray(rho, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in rho.reshape(16)]
+    return _pairs(rho).tolist()
 
 
 def dump_state(rho: np.ndarray, fp) -> None:
@@ -125,65 +129,34 @@ def dump_state(rho: np.ndarray, fp) -> None:
 _RHO_LABELS = [f"{j}{k}" for j in range(1, 5) for k in range(1, 5)]
 
 
-@dataclass
-class TimeSeries:
-    """Sampled (t, concurrence, optional rho(t)) records plus run metadata."""
+def write_table(columns: dict, metadata: dict, fmt: str, fp) -> None:
+    """Write equal-length columns to ``fp`` as ``"csv"`` or ``"json"``.
 
-    times: np.ndarray
-    concurrences: np.ndarray
-    states: list[np.ndarray] | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.concurrences = np.asarray(self.concurrences, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly ascending")
-        if np.any(self.concurrences < 0) or np.any(self.concurrences > 1):
-            raise ValueError("concurrences must lie in [0, 1]")
-
-
-def write_timeseries_csv(ts: TimeSeries, fp) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    header = ["t", "concurrence"]
-    if ts.states is not None:
-        for lbl in _RHO_LABELS:
-            header += [f"rho_re_{lbl}", f"rho_im_{lbl}"]
-    writer.writerow(header)
-    for i, (t, c) in enumerate(zip(ts.times, ts.concurrences)):
-        row = [repr(float(t)), repr(float(c))]
-        if ts.states is not None:
-            flat = np.asarray(ts.states[i], dtype=complex).reshape(16)
-            for z in flat:
-                row += [repr(float(z.real)), repr(float(z.imag))]
-        writer.writerow(row)
-
-
-def write_timeseries_json(ts: TimeSeries, fp) -> None:
-    records = []
-    for i, (t, c) in enumerate(zip(ts.times, ts.concurrences)):
-        rec: dict = {"t": float(t), "concurrence": float(c)}
-        if ts.states is not None:
-            rec["rho"] = state_to_entries(ts.states[i])
-        records.append(rec)
-    json.dump({"metadata": ts.metadata, "records": records}, fp, indent=1)
-    fp.write("\n")
-
-
-def write_curves_csv(columns: dict[str, np.ndarray], fp) -> None:
-    """Generic multi-column curve file (used for the figure outputs)."""
-    writer = csv.writer(fp, lineterminator="\n")
-    names = list(columns)
-    writer.writerow(names)
-    for row in zip(*(columns[n] for n in names)):
-        writer.writerow([repr(float(x)) for x in row])
-
-
-def write_curves_json(columns: dict[str, np.ndarray], metadata: dict, fp) -> None:
-    names = list(columns)
-    records = [
-        {n: float(x) for n, x in zip(names, row)}
-        for row in zip(*(columns[n] for n in names))
-    ]
-    json.dump({"metadata": metadata, "records": records}, fp, indent=1)
-    fp.write("\n")
+    A column is either T floats or a (T, 4, 4) complex stack of states.
+    CSV is a header line and one row per sample; a stack named ``rho``
+    spreads over the 32 columns ``rho_re_11, rho_im_11, ..., rho_im_44``.
+    CSV carries no metadata.  JSON is ``{"metadata": ..., "records": [...]}``
+    with one object per sample, a stack giving its 16 row-major [re, im]
+    pairs.  Floats are written in shortest round-trip form.
+    """
+    cells = {
+        name: _pairs(col) if np.iscomplexobj(col) else np.asarray(col, dtype=float)
+        for name, col in columns.items()
+    }
+    if fmt == "csv":
+        header = []
+        for name, col in cells.items():
+            header += [name] if col.ndim == 1 else [
+                f"{name}_{part}_{lbl}" for lbl in _RHO_LABELS for part in ("re", "im")
+            ]
+        rows = np.column_stack([col.reshape(len(col), -1) for col in cells.values()])
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows.tolist())
+    else:
+        names = list(cells)
+        records = [
+            dict(zip(names, row)) for row in zip(*(col.tolist() for col in cells.values()))
+        ]
+        json.dump({"metadata": metadata, "records": records}, fp, indent=1)
+        fp.write("\n")

@@ -107,32 +107,41 @@ def werner(p: float) -> np.ndarray:
     return (1.0 - p) * qmat.IDENTITY_4 / 4.0 + p * bell("phi_plus")
 
 
-def mems_h(delta: float) -> float:
+def mems_h(delta):
     """Weight function of the maximally-entangled-mixed family.
 
     Piecewise 1/3 on [0, 2/3] and delta/2 on [2/3, 1]; continuous at 2/3.
+    A float for a scalar delta, an array for an array of deltas.
     """
-    if not 0.0 <= delta <= 1.0:
+    delta = np.asarray(delta, dtype=float)
+    if not np.all((0.0 <= delta) & (delta <= 1.0)):
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    return 1.0 / 3.0 if delta <= 2.0 / 3.0 else delta / 2.0
+    h = np.where(delta <= 2.0 / 3.0, 1.0 / 3.0, delta / 2.0)
+    return h if h.ndim else float(h)
 
 
-def mems(delta: float) -> np.ndarray:
+def mems(delta) -> np.ndarray:
     """Maximally entangled mixed state at corner weight delta/2.
 
-    Conjectured to maximize concurrence at fixed purity tr(rho^2).
+    Conjectured to maximize concurrence at fixed purity tr(rho^2).  An
+    array of deltas of shape S gives the states stacked to shape S + (4, 4).
     """
+    delta = np.asarray(delta, dtype=float)
     h = mems_h(delta)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = h
-    m[1, 1] = 1.0 - 2.0 * h
-    m[3, 3] = h
-    m[0, 3] = delta / 2.0
-    m[3, 0] = delta / 2.0
+    m = np.zeros(delta.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = h
+    m[..., 1, 1] = 1.0 - 2.0 * h
+    m[..., 3, 3] = h
+    m[..., 0, 3] = delta / 2.0
+    m[..., 3, 0] = delta / 2.0
     return m
 
 
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2), from 1/4 (maximally mixed) to 1 (pure)."""
+def purity(rho: np.ndarray):
+    """tr(rho^2), from 1/4 (maximally mixed) to 1 (pure).
+
+    A float for one 4x4 state, an array for a stack of states.
+    """
     rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    p = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return p if p.ndim else float(p)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twoatom import qmat
-from twoatom.cli import EXIT_BAD_STATE, EXIT_OK, EXIT_UNSUPPORTED, main
+from twoatom.cli import EXIT_BAD_STATE, EXIT_NUMERICAL, EXIT_OK, EXIT_UNSUPPORTED, main
 
 
 def _write_state(tmp_path, name, obj):
@@ -280,3 +280,22 @@ class TestExitCodes:
 
     def test_bad_g_value(self, eg_state):
         assert main(["evolve", "--state", eg_state, "--g", "1.5"]) == EXIT_UNSUPPORTED
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["evolve", "--state", "STATE", "--t-max", "inf"], EXIT_UNSUPPORTED),
+            (["evolve", "--state", "STATE", "--samples", "2", "--dt", "5"], EXIT_NUMERICAL),
+            (["asymptotic", "--state", "STATE", "--g", "7"], EXIT_UNSUPPORTED),
+            (["figure", "fig1", "--gamma0", "-1"], EXIT_UNSUPPORTED),
+            (["evolve", "--state", "STATE", "--dt", "inf"], EXIT_UNSUPPORTED),
+        ],
+        ids=["t-max-inf", "step-too-large", "asymptotic-g-7", "figure-negative-gamma0", "dt-inf"],
+    )
+    def test_bad_parameters_exit_with_one_line(self, eg_state, capsys, argv, code):
+        rc = main([eg_state if a == "STATE" else a for a in argv])
+        out, err = capsys.readouterr()
+        assert rc == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err

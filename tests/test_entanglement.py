@@ -16,7 +16,7 @@ from twoatom.entanglement import (
     wootters_lambdas,
 )
 from twoatom.propagator import asymptotic_state
-from twoatom.states import bell, bell_diagonal, mems, mes, product_state, werner
+from twoatom.states import bell, bell_diagonal, mems, mes, product_state, purity, werner
 
 from conftest import random_states
 
@@ -214,3 +214,33 @@ class TestAgreementProperties:
             elif c > 1e-6:  # purity deficit scales as c^2, keep clear of noise
                 assert marginal_purity < 1 - 1e-13
                 assert ent > 1e-13
+
+
+class TestStackedMeasures:
+    """Measures on a (..., 4, 4) stack equal the measures of each matrix."""
+
+    def _stack(self, rng):
+        mixed = random_states(59, 12)
+        pure = [qmat.random_pure_state(rng) for _ in range(6)]  # rank-deficient
+        return np.array(mixed + pure).reshape(3, 6, 4, 4)
+
+    def test_stack_equals_per_matrix(self, rng):
+        stack = self._stack(rng)
+        flat = stack.reshape(-1, 4, 4)
+        for fn in (concurrence, purity, asymptotic_concurrence, qmat.sqrt_psd):
+            stacked = fn(stack)
+            single = np.array([fn(r) for r in flat])
+            assert stacked.shape == stack.shape[:2] + single.shape[1:]
+            assert np.abs(stacked.reshape(single.shape) - single).max() <= 1e-14
+
+    def test_single_matrix_gives_float(self, rng):
+        rho = qmat.random_density_matrix(rng)
+        for fn in (concurrence, purity, asymptotic_concurrence):
+            assert type(fn(rho)) is float
+
+    def test_mems_family_stacks(self):
+        deltas = np.linspace(0.0, 1.0, 11)
+        stack = mems(deltas)
+        assert stack.shape == (11, 4, 4)
+        for d, m in zip(deltas, stack):
+            assert np.array_equal(m, mems(d))

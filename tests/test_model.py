@@ -29,10 +29,9 @@ class TestModelParams:
             ModelParams(gamma0=gamma0, g=g)
 
     def test_config_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(step=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(method="euler")
+        for step in (0.0, -1e-3, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                IntegratorConfig(step=step)
 
 
 class TestLindbladRhs:
@@ -95,13 +94,50 @@ class TestIntegrate:
         with pytest.raises(StepTooLargeError):
             integrate(rho, P_G1, 50.0, IntegratorConfig(step=5.0))
 
+    def test_overflowing_step_raises(self):
+        # a step of 1e80 overflows the step polynomial to inf and nan entries
+        with pytest.raises(StepTooLargeError, match="minimum eigenvalue nan"):
+            integrate(qmat.IDENTITY_4 / 4, P_G1, 1e80, IntegratorConfig(step=1e80))
+
+    def test_unstable_step_reported_at_first_bad_time(self, rng):
+        rho = qmat.random_density_matrix(rng)
+        with pytest.raises(StepTooLargeError, match=r"^state at t=5 has minimum eigenvalue"):
+            evolve_series(rho, P_G1, [0.0, 5.0, 10.0], IntegratorConfig(step=5.0))
+
+
+def _rk4_loop(rho, params, t_grid, step):
+    """Classical four-stage RK4 on lindblad_rhs, stepping sample to sample:
+    whole steps of ``step`` plus one shorter remainder step per interval."""
+    out, y, t_prev = [], np.asarray(rho, dtype=complex), 0.0
+    for t in t_grid:
+        n = int(np.floor((t - t_prev) / step + 1e-12))
+        rem = (t - t_prev) - n * step
+        for h in [step] * n + ([rem] if rem > 1e-15 else []):
+            k1 = lindblad_rhs(y, params)
+            k2 = lindblad_rhs(y + 0.5 * h * k1, params)
+            k3 = lindblad_rhs(y + 0.5 * h * k2, params)
+            k4 = lindblad_rhs(y + h * k3, params)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+        t_prev = t
+    return np.array(out)
+
 
 class TestEvolveSeries:
     def test_single_point_grid(self, rng):
         rho = qmat.random_density_matrix(rng)
         out = evolve_series(rho, P_G1, [0.0])
-        assert len(out) == 1
+        assert out.shape == (1, 4, 4)
         assert np.array_equal(out[0], rho)
+
+    def test_step_polynomial_matches_stagewise_rk4(self):
+        # 1/6 is not a multiple of the step, so every interval ends in a remainder step
+        grid = np.linspace(0.0, 1.0, 7)
+        for g, rho in zip((0.0, 0.4, 1.0), random_states(62, 3)):
+            params = ModelParams(1.3, g)
+            series = evolve_series(rho, params, grid, IntegratorConfig(step=1e-2))
+            assert series.shape == (7, 4, 4)
+            assert np.abs(series - _rk4_loop(rho, params, grid, 1e-2)).max() <= 1e-13
 
     def test_doubly_excited_column(self):
         rho = product_state(qmat.EXCITED, qmat.EXCITED)

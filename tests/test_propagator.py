@@ -57,6 +57,23 @@ class TestEvolveG1:
             assert np.abs(late - asymptotic_state(rho)).max() < 1e-8
 
 
+class TestStackedTimes:
+    def test_array_time_stacks_per_time_states(self):
+        grid = np.linspace(0.0, 4.0, 9)
+        rho = random_states(109, 1)[0]
+        cases = [
+            lambda t: evolve_g1(rho, 1.3, t),
+            lambda t: evolve_excited_ground_general(1.3, 0.6, t),
+            lambda t: evolve_bell_general(-1, 1.3, 0.6, t),
+        ]
+        for fn in cases:
+            stack = fn(grid)
+            assert stack.shape == (9, 4, 4)
+            assert fn(grid[3]).shape == (4, 4)
+            for t, m in zip(grid, stack):
+                assert np.abs(m - fn(t)).max() <= 1e-15
+
+
 class TestAsymptoticMap:
     def test_excited_ground_params(self):
         pars = asymptotic_params(product_state(qmat.EXCITED, qmat.GROUND))

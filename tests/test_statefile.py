@@ -7,13 +7,11 @@ import pytest
 from twoatom import qmat
 from twoatom.statefile import (
     StateFileError,
-    TimeSeries,
     dump_state,
     load_state,
     parse_state,
     state_to_entries,
-    write_timeseries_csv,
-    write_timeseries_json,
+    write_table,
 )
 from twoatom.states import bell, mems, mes, product_state, werner
 
@@ -105,45 +103,54 @@ class TestFamilies:
 
 
 class TestTimeSeries:
-    def test_rejects_descending_times(self):
-        with pytest.raises(ValueError):
-            TimeSeries(times=[0.0, 1.0, 0.5], concurrences=[0.0, 0.1, 0.2])
-
-    def test_rejects_out_of_range_concurrence(self):
-        with pytest.raises(ValueError):
-            TimeSeries(times=[0.0, 1.0], concurrences=[0.0, 1.5])
-
     def test_csv_layout(self):
-        ts = TimeSeries(times=[0.0, 0.5], concurrences=[0.0, 0.25])
         buf = io.StringIO()
-        write_timeseries_csv(ts, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,concurrence"
-        assert lines[1] == "0.0,0.0"
-        assert len(lines) == 3
+        write_table({"t": [0.0, 0.5], "concurrence": [0.0, 0.25]}, {}, "csv", buf)
+        assert buf.getvalue() == "t,concurrence\n0.0,0.0\n0.5,0.25\n"
 
-    def test_csv_with_states(self, rng):
-        rho = qmat.random_density_matrix(rng)
-        ts = TimeSeries(times=[0.0], concurrences=[0.5], states=[rho])
+    def test_csv_with_states(self):
+        rho = np.zeros((1, 4, 4), dtype=complex)
+        rho[0, 0, 0] = 0.1
+        rho[0, 0, 1] = 0.2 - 0.3j
+        rho[0, 3, 3] = 1.0 / 3.0
         buf = io.StringIO()
-        write_timeseries_csv(ts, buf)
-        header = buf.getvalue().splitlines()[0].split(",")
-        assert header[:2] == ["t", "concurrence"]
-        assert header[2] == "rho_re_11"
-        assert header[-1] == "rho_im_44"
-        assert len(header) == 2 + 32
-        # values round-trip through their decimal form
-        row = buf.getvalue().splitlines()[1].split(",")
-        assert float(row[2]) == rho[0, 0].real
+        write_table({"t": [0.0], "concurrence": [0.5], "rho": rho}, {}, "csv", buf)
+        header, row = buf.getvalue().splitlines()
+        labels = [f"{j}{k}" for j in range(1, 5) for k in range(1, 5)]
+        assert header == "t,concurrence," + ",".join(
+            f"rho_re_{lbl},rho_im_{lbl}" for lbl in labels
+        )
+        values = ["0.0"] * 32
+        values[0:4] = ["0.1", "0.0", "0.2", "-0.3"]
+        values[30] = "0.3333333333333333"
+        assert row == "0.0,0.5," + ",".join(values)
+        assert buf.getvalue().endswith("\n")
 
     def test_json_envelope(self):
-        ts = TimeSeries(
-            times=[0.0, 1.0],
-            concurrences=[0.0, 0.3],
-            metadata={"scenario": "evolve", "gamma0": 1.0, "g": 1.0},
-        )
         buf = io.StringIO()
-        write_timeseries_json(ts, buf)
-        obj = json.loads(buf.getvalue())
-        assert obj["metadata"]["scenario"] == "evolve"
-        assert [r["t"] for r in obj["records"]] == [0.0, 1.0]
+        write_table(
+            {"t": np.array([0.0, 1.0]), "concurrence": np.array([0.0, 0.3])},
+            {"scenario": "evolve", "g": 1.0},
+            "json",
+            buf,
+        )
+        assert buf.getvalue() == (
+            '{\n "metadata": {\n  "scenario": "evolve",\n  "g": 1.0\n },\n'
+            ' "records": [\n'
+            '  {\n   "t": 0.0,\n   "concurrence": 0.0\n  },\n'
+            '  {\n   "t": 1.0,\n   "concurrence": 0.3\n  }\n'
+            " ]\n}\n"
+        )
+
+    def test_json_with_states(self):
+        rho = np.zeros((1, 4, 4), dtype=complex)
+        rho[0, 0, 0] = 0.1
+        rho[0, 0, 1] = 0.2 - 0.3j
+        buf = io.StringIO()
+        write_table({"t": [0.5], "rho": rho}, {}, "json", buf)
+        text = buf.getvalue()
+        assert text.startswith(
+            '{\n "metadata": {},\n "records": [\n  {\n   "t": 0.5,\n   "rho": [\n'
+            "    [\n     0.1,\n     0.0\n    ],\n    [\n     0.2,\n     -0.3\n    ],\n"
+        )
+        assert json.loads(text)["records"][0]["rho"] == state_to_entries(rho[0])
