@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -51,10 +52,13 @@ def _load_state(source: str, seed) -> np.ndarray:
             raise ParameterError(f"seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         return qmat.random_density_matrix(rng)
-    if source == "-":
-        return statefile.load_state(sys.stdin)
-    with open(source, "r", encoding="utf-8") as fp:
-        return statefile.load_state(fp)
+    try:
+        if source == "-":
+            return statefile.load_state(sys.stdin)
+        with open(source, "r", encoding="utf-8") as fp:
+            return statefile.load_state(fp)
+    except OSError as exc:
+        raise StateFileError(str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -62,7 +66,11 @@ def _output(path):
     if path in (None, "-"):
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fp:
+        try:
+            fp = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ParameterError(f"cannot write --output: {exc}") from exc
+        with fp:
             yield fp
 
 
@@ -170,12 +178,12 @@ def cmd_peak(args) -> int:
             f"peak requires 0 < g < 1, got g={args.g}"
         )
     gamma0, gamma = params.gamma0, params.gamma
-    t_pk = propagator.t_gamma(gamma0, gamma)
-    c_pk = propagator.c_max(gamma0, gamma)
     # brute-force verification on a fine grid
     t_end = 20.0 / gamma0
     if not t_end < np.inf:
         raise ParameterError(f"gamma0={gamma0} is too small for the peak search grid")
+    t_pk = propagator.t_gamma(gamma0, gamma)
+    c_pk = propagator.c_max(gamma0, gamma)
     grid = np.arange(0.0, t_end, 1e-4 / gamma0)
     vals = np.exp(-gamma0 * grid) * np.sinh(gamma * grid)
     i = int(np.argmax(vals))
@@ -251,7 +259,12 @@ def _add_output_args(p):
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing, and the exit of a parse error, leave it unchanged.
+    """
     top = argparse.ArgumentParser(
         prog="twoatom",
         description="Dissipative dynamics and entanglement of two two-level atoms",
@@ -301,7 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StateFileError, qmat.InvalidStateError, FileNotFoundError) as exc:
+    except (StateFileError, qmat.InvalidStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
     except (

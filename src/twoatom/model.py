@@ -45,7 +45,11 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Emission rate 0 < gamma0 < inf and exchange ratio g in [0, 1]."""
+    """Emission rate gamma0 > 0 and exchange ratio g in [0, 1].
+
+    The generator's largest rate (4 gamma0) and the natural time 1/gamma0
+    must both be finite floats.
+    """
 
     gamma0: float
     g: float
@@ -53,6 +57,10 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.gamma0 < np.inf:
             raise ParameterError(f"gamma0 must be positive and finite, got {self.gamma0}")
+        if not (4.0 * self.gamma0 < np.inf and 1.0 / self.gamma0 < np.inf):
+            raise ParameterError(
+                f"gamma0={self.gamma0} is out of range: 4*gamma0 and 1/gamma0 must be finite"
+            )
         if not 0.0 <= self.g <= 1.0:
             raise ParameterError(f"g must lie in [0, 1], got {self.g}")
 
@@ -74,12 +82,15 @@ class IntegratorConfig:
 
 
 def time_grid(t_max: float, samples: int) -> np.ndarray:
-    """``samples`` equally spaced times on [0, t_max]; t_max finite and positive."""
+    """``samples`` equally spaced, distinct times on [0, t_max]; t_max finite and positive."""
     if not 0.0 < t_max < np.inf:
         raise ParameterError(f"t_max must be positive and finite, got {t_max}")
     if samples < 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
-    return np.linspace(0.0, t_max, samples)
+    grid = np.linspace(0.0, t_max, samples)
+    if np.any(np.diff(grid) <= 0):
+        raise ParameterError(f"t_max={t_max} is too small for {samples} distinct times")
+    return grid
 
 
 def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -188,11 +199,13 @@ def evolve_series(
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("grid times must be strictly ascending")
     gaps = np.diff(t_grid, prepend=0.0)
-    whole = np.floor(gaps / config.step + 1e-12)
+    with np.errstate(over="ignore"):
+        whole = np.floor(gaps / config.step + 1e-12)
     if not np.all(np.isfinite(whole)):
         raise ParameterError(f"grid spacing over step {config.step} overflows")
     rem = gaps - whole * config.step
-    rem[rem <= 1e-15] = 0.0
+    # a remainder that is rounding residue of the gap takes no step
+    rem[rem <= 1e-12 * gaps] = 0.0
     pairs, index = np.unique(np.column_stack([whole, rem]), axis=0, return_inverse=True)
     lv = liouvillian(params)
     # an unstable step may overflow; the positivity guard reports it

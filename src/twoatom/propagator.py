@@ -180,7 +180,7 @@ def _require_peak_rates(gamma0: float, gamma: float) -> None:
             f"peak formulas need gamma < gamma0, got gamma={gamma}, gamma0={gamma0}"
         )
     if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+        raise DegenerateRatesError(f"peak formulas need gamma > 0, got gamma={gamma}")
 
 
 def t_gamma(gamma0: float, gamma: float) -> float:

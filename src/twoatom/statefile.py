@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 
@@ -137,7 +138,8 @@ def write_table(columns: dict, metadata: dict, fmt: str, fp) -> None:
     spreads over the 32 columns ``rho_re_11, rho_im_11, ..., rho_im_44``.
     CSV carries no metadata.  JSON is ``{"metadata": ..., "records": [...]}``
     with one object per sample, a stack giving its 16 row-major [re, im]
-    pairs.  Floats are written in shortest round-trip form.
+    pairs, laid out exactly as ``json.dump(..., indent=1)`` lays it out.
+    Floats are written in shortest round-trip form.
     """
     cells = {
         name: _pairs(col) if np.iscomplexobj(col) else np.asarray(col, dtype=float)
@@ -154,9 +156,31 @@ def write_table(columns: dict, metadata: dict, fmt: str, fp) -> None:
         writer.writerow(header)
         writer.writerows(rows.tolist())
     else:
-        names = list(cells)
-        records = [
-            dict(zip(names, row)) for row in zip(*(col.tolist() for col in cells.values()))
-        ]
-        json.dump({"metadata": metadata, "records": records}, fp, indent=1)
+        fp.write(_json_table(cells, metadata))
         fp.write("\n")
+
+
+def _json_table(cells: dict, metadata: dict) -> str:
+    """The ``json.dumps(..., indent=1)`` text of the table, numbers formatted at once.
+
+    json lays out the envelope and one record whose numbers are placeholders;
+    the record becomes a ``%``-template and every row fills a copy of it with
+    the text json's C encoder gives each float.
+    """
+    rows = len(next(iter(cells.values()), ()))
+    if not rows:
+        return json.dumps({"metadata": metadata, "records": []}, indent=1)
+    envelope = json.dumps({"metadata": metadata, "records": [0]}, indent=1)
+    # "records" is the last key, so the last 0 is its placeholder
+    head, _, tail = envelope.rpartition("0")
+    indent = "\n" + head[head.rindex("\n") + 1:]
+    record = json.dumps(
+        {name: np.zeros(col.shape[1:], dtype=int).tolist() for name, col in cells.items()},
+        indent=1,
+    )
+    # with indent set, a number is the last token of its line and no other line ends in 0
+    record = re.sub(r"0(,?)$", r"%s\1", record.replace("%", "%%"), flags=re.M)
+    record = record.replace("\n", indent)
+    flat = np.column_stack([col.reshape(rows, -1) for col in cells.values()]).ravel()
+    numbers = json.dumps(flat.tolist())[1:-1].split(", ")
+    return head + ("," + indent).join([record] * rows) % tuple(numbers) + tail

@@ -1,10 +1,17 @@
+import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import twoatom
 from twoatom import qmat
 from twoatom.cli import EXIT_BAD_STATE, EXIT_NUMERICAL, EXIT_OK, EXIT_UNSUPPORTED, main
 
@@ -289,8 +296,10 @@ class TestExitCodes:
             (["asymptotic", "--state", "STATE", "--g", "7"], EXIT_UNSUPPORTED),
             (["figure", "fig1", "--gamma0", "-1"], EXIT_UNSUPPORTED),
             (["evolve", "--state", "STATE", "--dt", "inf"], EXIT_UNSUPPORTED),
+            (["evolve", "--state", "STATE", "--t-max", "5e-324", "--samples", "3"], EXIT_UNSUPPORTED),
         ],
-        ids=["t-max-inf", "step-too-large", "asymptotic-g-7", "figure-negative-gamma0", "dt-inf"],
+        ids=["t-max-inf", "step-too-large", "asymptotic-g-7", "figure-negative-gamma0", "dt-inf",
+             "t-max-below-spacing"],
     )
     def test_bad_parameters_exit_with_one_line(self, eg_state, capsys, argv, code):
         rc = main([eg_state if a == "STATE" else a for a in argv])
@@ -299,3 +308,157 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_unreadable_state_is_bad_state(self, tmp_path, capsys):
+        assert main(["concurrence", "--state", str(tmp_path)]) == EXIT_BAD_STATE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and str(tmp_path) in err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_3(self, tmp_path, eg_state, capsys, where):
+        path = str(tmp_path / "missing" / "x.csv") if where == "missing-dir" else str(tmp_path)
+        rc = main(["evolve", "--state", eg_state, "--samples", "3", "--output", path])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_UNSUPPORTED
+        assert out == "" and len(err.splitlines()) == 1 and path in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--state", "STATE", "--gamma0", "1e308"],
+            ["evolve", "--state", "STATE", "--gamma0", "1e-320", "--t-max", "1"],
+            ["peak", "--gamma0", "1e-320", "--g", "0.5"],
+            ["peak", "--gamma0", "1e-307", "--g", "0.5"],
+        ],
+        ids=["evolve-huge-gamma0", "evolve-subnormal-gamma0", "peak-subnormal-gamma0", "peak-grid-overflow"],
+    )
+    def test_extreme_gamma0_rejected_without_warnings(self, eg_state, capsys, argv):
+        # RuntimeWarnings are errors in this suite, so a numpy overflow fails here
+        rc = main([eg_state if a == "STATE" else a for a in argv])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_UNSUPPORTED
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestLargeRates:
+    def test_rk4_scheme_is_scale_free(self, eg_state, capsys):
+        """gamma0 = 1e20 over t_max = 5e-20 is the gamma0 = 1 scheme at --dt 10:
+        one RK4 step per sample interval, on the same dimensionless grid."""
+        curves = []
+        for gamma0, extra in (("1e20", ["--t-max", "5e-20"]), ("1", ["--t-max", "5", "--dt", "10"])):
+            argv = ["evolve", "--state", eg_state, "--gamma0", gamma0, "--g", "0.5", "--samples", "11"]
+            assert main(argv + extra) == EXIT_OK
+            rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+            curves.append(np.array([float(r[1]) for r in rows]))
+        large, unit = curves
+        assert unit[-1] > 0.04
+        assert np.abs(large - unit).max() <= 1e-12
+
+
+_STRANGE = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e-320", "1e308"]
+# argv strings from a process hold no NUL and no unpaired surrogate outside surrogateescape
+_JUNK = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=6,
+)
+_FLOAT = st.one_of(st.sampled_from(_STRANGE), st.floats().map(repr), _JUNK)
+_INT = st.one_of(st.sampled_from(_STRANGE), st.integers(-3, 3000).map(str), _JUNK)
+_SEED = st.one_of(st.sampled_from(_STRANGE), st.integers().map(str), _JUNK)
+_OPTIONS = {
+    "--gamma0": _FLOAT,
+    "--g": _FLOAT,
+    "--t-max": _FLOAT,
+    "--dt": _FLOAT,
+    "--samples": _INT,
+    "--seed": _SEED,
+    "--method": st.sampled_from(["rk4", "closed-form", "euler"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+}
+_COMMANDS = {
+    "evolve": ["--state", "--seed", "--gamma0", "--g", "--t-max", "--samples", "--dt",
+               "--method", "--with-rho", "--format", "--output"],
+    "asymptotic": ["--state", "--seed", "--g", "--format", "--output"],
+    "concurrence": ["--state", "--seed"],
+    "figure": ["WHICH", "--gamma0", "--t-max", "--samples", "--format", "--output"],
+    "peak": ["--gamma0", "--g", "--format", "--output"],
+}
+# a call whose output depends on every default of its subparser
+_PROBE = ["figure", "fig1", "--samples", "4"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    states = [
+        {"family": "basis", "params": {"a": "excited", "b": "ground"}},
+        {"family": "bell", "params": {"which": "psi_minus"}},
+        {"family": "werner", "params": {"p": 0.7}},
+        {"entries": [[0.25 * (i % 5 == 0), 0.0] for i in range(16)]},
+    ]
+    for i, obj in enumerate(states):
+        (base / f"state{i}.json").write_text(json.dumps(obj))
+    return base
+
+
+@pytest.fixture(scope="module")
+def fresh_probe_output():
+    """stdout of the probe call in a fresh interpreter."""
+    src = str(Path(twoatom.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        f"from twoatom.cli import main; sys.exit(main({_PROBE!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+@st.composite
+def _argv(draw, base):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag in _COMMANDS[command]:
+        required = flag in ("WHICH", "--state") or (command == "peak" and flag == "--g")
+        if not (required or draw(st.booleans())):
+            continue
+        if flag == "WHICH":
+            argv.append(draw(st.sampled_from(["fig1", "fig2", "fig3", "fig4"])))
+        elif flag == "--with-rho":
+            argv.append(flag)
+        elif flag == "--state":
+            names = ["state0.json", "state1.json", "state2.json", "state3.json", "missing.json", "."]
+            state = draw(st.one_of(st.sampled_from(names).map(lambda n: str(base / n)),
+                                   st.just("random"), _JUNK))
+            argv.append(f"--state={state}")
+        elif flag == "--output":
+            out = draw(st.sampled_from(["-", "out.txt", "missing/out.txt", "."]))
+            argv.append(f"--output={out if out == '-' else base / out}")
+        else:
+            argv.append(f"{flag}={draw(_OPTIONS[flag])}")
+    return argv
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("parse", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_argv_ends_in_a_documented_exit(self, fuzz_dir, fresh_probe_output, data):
+        """Any argv ends in a documented exit code with one error line, or in an
+        argparse usage error; the shared parser serves later calls unchanged."""
+        argv = data.draw(_argv(fuzz_dir))
+        code, out, err = _call(argv)
+        if code == ("parse", 2):
+            assert "Traceback" not in err
+            assert _call(_PROBE) == (EXIT_OK, fresh_probe_output, "")
+            return
+        assert code in (EXIT_OK, EXIT_BAD_STATE, EXIT_UNSUPPORTED, EXIT_NUMERICAL)
+        if code != EXIT_OK:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -154,3 +154,42 @@ class TestTimeSeries:
             "    [\n     0.1,\n     0.0\n    ],\n    [\n     0.2,\n     -0.3\n    ],\n"
         )
         assert json.loads(text)["records"][0]["rho"] == state_to_entries(rho[0])
+
+
+def _reference_json(columns, metadata):
+    """The table as ``json.dump`` lays out a list of per-sample dicts."""
+    names = list(columns)
+    cells = [
+        [state_to_entries(x) for x in col] if np.iscomplexobj(col) else np.asarray(col).tolist()
+        for col in columns.values()
+    ]
+    records = [dict(zip(names, row)) for row in zip(*cells)]
+    buf = io.StringIO()
+    json.dump({"metadata": metadata, "records": records}, buf, indent=1)
+    return buf.getvalue() + "\n"
+
+
+class TestJsonGolden:
+    @pytest.mark.parametrize("samples", [0, 1, 2, 301])
+    @pytest.mark.parametrize("with_rho", [False, True])
+    def test_matches_json_dump(self, samples, with_rho):
+        gen = np.random.default_rng(samples)
+        columns = {"t": np.linspace(0.0, 5.0, samples), "concurrence": gen.random(samples)}
+        if with_rho:
+            columns["rho"] = gen.standard_normal((samples, 4, 4)) + 1j * gen.standard_normal(
+                (samples, 4, 4)
+            )
+        if samples > 1:
+            columns["concurrence"][:3] = [np.nan, np.inf, -np.inf][:samples]
+            if with_rho:
+                columns["rho"][-1, 0, 1] = complex(np.nan, -np.inf)
+        metadata = {"scenario": "50% %s %d", "grid": {"t_max": 5.0, "samples": samples}, "x": None}
+        buf = io.StringIO()
+        write_table(columns, metadata, "json", buf)
+        assert buf.getvalue() == _reference_json(columns, metadata)
+
+    def test_percent_and_digits_in_column_names(self):
+        columns = {"c%d": [0.5, 1e-300], "t0": [2.0, 3.0]}
+        buf = io.StringIO()
+        write_table(columns, {"n": 10}, "json", buf)
+        assert buf.getvalue() == _reference_json(columns, {"n": 10})
