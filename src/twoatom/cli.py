@@ -39,13 +39,6 @@ EXIT_BAD_STATE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERICAL = 4
 
-_SWAP_AB = [0, 2, 1, 3]
-
-
-class UnsupportedClosedFormError(ValueError):
-    """Closed form requested outside its domain of validity."""
-
-
 def _load_state(source: str, seed) -> np.ndarray:
     if source == "random":
         if seed is not None and seed < 0:
@@ -78,26 +71,6 @@ def _t_max(args, params: ModelParams) -> float:
     return args.t_max if args.t_max is not None else 5.0 / params.gamma0
 
 
-def _closed_form_general(rho0: np.ndarray, gamma0: float, gamma: float, t) -> np.ndarray:
-    """Closed form at g < 1 for the few initial states that have one."""
-    atol = 1e-12
-    excited_ground = states.product_state(qmat.EXCITED, qmat.GROUND)
-    ground_excited = states.product_state(qmat.GROUND, qmat.EXCITED)
-    if np.allclose(rho0, excited_ground, atol=atol):
-        return propagator.evolve_excited_ground_general(gamma0, gamma, t)
-    if np.allclose(rho0, ground_excited, atol=atol):
-        # atom-swap symmetry of the generator: relabel indices 2 <-> 3
-        out = propagator.evolve_excited_ground_general(gamma0, gamma, t)
-        return out[..., _SWAP_AB, :][..., _SWAP_AB]
-    if np.allclose(rho0, states.bell("psi_plus"), atol=atol):
-        return propagator.evolve_bell_general(+1, gamma0, gamma, t)
-    if np.allclose(rho0, states.bell("psi_minus"), atol=atol):
-        return propagator.evolve_bell_general(-1, gamma0, gamma, t)
-    raise UnsupportedClosedFormError(
-        "no closed form for this initial state at g < 1; use --method rk4"
-    )
-
-
 def cmd_evolve(args) -> int:
     rho0 = _load_state(args.state, args.seed)
     params = ModelParams(gamma0=args.gamma0, g=args.g)
@@ -105,10 +78,8 @@ def cmd_evolve(args) -> int:
     grid = time_grid(t_max, args.samples)
     if args.method == "rk4":
         traj = evolve_series(rho0, params, grid, IntegratorConfig(step=args.dt))
-    elif params.g == 1.0:
-        traj = propagator.evolve_g1(rho0, params.gamma0, grid)
     else:
-        traj = _closed_form_general(rho0, params.gamma0, params.gamma, grid)
+        traj = propagator.evolve(rho0, params, grid)
     columns = {"t": grid, "concurrence": entanglement.concurrence(traj)}
     if args.with_rho:
         columns["rho"] = traj
@@ -210,9 +181,7 @@ def cmd_peak(args) -> int:
 def _figure_columns(which: str, params: ModelParams, grid: np.ndarray):
     gamma0 = params.gamma0
     if which == "fig1":
-        c_phi = entanglement.concurrence(
-            propagator.evolve_g1(states.bell("phi_plus"), gamma0, grid)
-        )
+        c_phi = entanglement.concurrence(propagator.evolve(states.bell("phi_plus"), params, grid))
         c_psi = np.exp(-2.0 * gamma0 * grid)
         return {"t": grid, "c_phi_plus": c_phi, "c_psi_plus": c_psi}, {
             "scenario": "fig1", "gamma0": gamma0, "g": 1.0,
@@ -227,8 +196,8 @@ def _figure_columns(which: str, params: ModelParams, grid: np.ndarray):
             "c_asymptotic": entanglement.asymptotic_concurrence(family),
         }, {"scenario": "fig2", "g": 1.0}
     if which == "fig3":
-        plus = propagator.evolve_bell_general(+1, gamma0, params.gamma, grid)
-        minus = propagator.evolve_bell_general(-1, gamma0, params.gamma, grid)
+        plus = propagator.evolve(states.bell("psi_plus"), params, grid)
+        minus = propagator.evolve(states.bell("psi_minus"), params, grid)
         c_plus, c_minus = entanglement.concurrence(plus), entanglement.concurrence(minus)
         return {"t": grid, "c_plus": c_plus, "c_minus": c_minus}, {
             "scenario": "fig3", "gamma0": gamma0, "g": params.g,
@@ -317,11 +286,7 @@ def main(argv=None) -> int:
     except (StateFileError, qmat.InvalidStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
-    except (
-        ParameterError,
-        UnsupportedClosedFormError,
-        propagator.DegenerateRatesError,
-    ) as exc:
+    except (ParameterError, propagator.DegenerateRatesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (StepTooLargeError, np.linalg.LinAlgError) as exc:

@@ -34,6 +34,13 @@ _IDENTITY_16 = np.eye(16, dtype=complex)
 #: positivity slack allowed on integrator output before StepTooLargeError
 POSITIVITY_GUARD = 1e-6
 
+#: smallest gamma0 * step.  Below it the diagonal of the step polynomial
+#: I + hL + ... loses the digits of hL to rounding, and that loss compounds
+#: over ~1/(gamma0 * step) steps: on the excited x ground start at g = 0.5 the
+#: state error on [0, 5/gamma0] is 6e-10 at 1e-8, 1e-7 at 1e-10, 2e-5 at
+#: 1e-12 and 0.1 at 1e-16, against 1.5e-13 at the default step.
+MIN_SCALED_STEP = 1e-10
+
 
 class StepTooLargeError(RuntimeError):
     """The integrator produced a state violating positivity beyond the guard."""
@@ -186,13 +193,20 @@ def evolve_series(
 ) -> np.ndarray:
     """States at every grid time from a single integrator pass, shape (T, 4, 4).
 
-    The grid must be nonnegative and strictly ascending.  Each interval
+    The grid must be nonnegative and strictly ascending, and
+    ``params.gamma0 * config.step`` at least :data:`MIN_SCALED_STEP`.  Each interval
     between samples (the first from t = 0) takes whole steps of
     ``config.step`` plus one shorter remainder step, so a step above the
     sample spacing acts as the spacing.  The advance matrix of an interval
     depends only on its (whole steps, remainder) pair and is built once per
     distinct pair.
     """
+    floor = MIN_SCALED_STEP / params.gamma0
+    if not config.step >= floor:
+        raise ParameterError(
+            f"step {config.step} is below {MIN_SCALED_STEP}/gamma0 = {floor:g}, "
+            "where rounding swamps RK4"
+        )
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid[0] < 0:
         raise ValueError("grid times must be nonnegative")

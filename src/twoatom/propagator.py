@@ -1,18 +1,22 @@
-"""Closed-form propagation and the stationary-state map.
+"""The exact propagator for every g, every start and every time.
 
-At g = 1 the collective jump operator S = sA + sB annihilates both the
-antisymmetric Bell state and the doubly-ground state, so the generator
-decomposes in the basis {|11>, symmetric, antisymmetric, |00>}: populations
-cascade |11> -> symmetric -> |00> at rate 2*gamma0 while the antisymmetric
-sector and its coherence with |00> are frozen.  Re-expanding in the product
-basis gives the ten matrix-element formulas implemented verbatim in
-:func:`evolve_g1`; its t -> infinity limit is the two-parameter stationary
-family of :func:`asymptotic_state`.
+The generator of :mod:`twoatom.model` is a sum of two collective channels:
+the superradiant jump S+ = (sA + sB)/sqrt2 at rate gamma0 + gamma and the
+subradiant jump S- = (sA - sB)/sqrt2 at rate gamma0 - gamma.  In the Dicke
+basis {|11>, |s>, |a>, |00>}, with |s> = (|10> + |01>)/sqrt2 and
+|a> = (|10> - |01>)/sqrt2, they are the two ladders |11> -> |s> -> |00> and
+|11> -> -|a> -> |00> (Ficek & Tanas, Phys. Rep. 372, 369 (2002)).  Every
+Dicke-basis matrix element then decays at a single rate, and four of them
+(|s><s|, |a><a|, |s><00|, |a><00|) are also fed by an element that decays
+at another rate; ten formulas give the upper triangle and hermiticity the
+rest (:func:`evolve`).
 
-For g < 1 the semigroup is uniquely relaxing to |00><00|; the two special
-initial states with known closed forms (one atom excited / symmetric and
-antisymmetric Bell states) are provided, together with the time and height
-of the transient entanglement peak.
+At g = 1 the subradiant ladder is frozen, so the state keeps its weight
+on |a> and its |a><00| coherence; the t -> infinity limit is the
+two-parameter stationary family of :func:`asymptotic_state`.  For g < 1
+every state relaxes to |00><00|, and the excited x ground start has a
+transient entanglement peak whose time and height are :func:`t_gamma` and
+:func:`c_max`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import ModelParams, ParameterError
+
 _LOWER = np.tril_indices(4, -1)
+_HALF_SQRT2 = np.sqrt(0.5)
 
 
 class DegenerateRatesError(ValueError):
@@ -44,53 +51,63 @@ class AsymptoticParams:
             raise ValueError(f"alpha must lie in [0, 1/2], got {self.alpha}")
 
 
-def evolve_g1(rho0: np.ndarray, gamma0: float, t) -> np.ndarray:
-    """Closed-form state at time t for equal rates (g = 1).
+def _dicke(m: np.ndarray) -> np.ndarray:
+    """U m U for the real symmetric U = U^-1 that maps the product basis to the
+    Dicke basis and back; it mixes only indices 1 and 2 of each axis."""
+    m = np.array(m, dtype=complex)
+    a, b = _HALF_SQRT2 * m[..., 1, :], _HALF_SQRT2 * m[..., 2, :]
+    m[..., 1, :], m[..., 2, :] = a + b, a - b
+    a, b = _HALF_SQRT2 * m[..., :, 1], _HALF_SQRT2 * m[..., :, 2]
+    m[..., :, 1], m[..., :, 2] = a + b, a - b
+    return m
 
-    Implements the ten independent matrix-element formulas, including the
-    secular gamma0*t*exp(-2*gamma0*t) feeding of the one-excitation sector
-    from the doubly excited population; the lower triangle follows by
-    hermiticity of the initial state.  An array ``t`` of shape S gives the
-    states stacked to shape S + (4, 4).
+
+def _fed(a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """(e^{-bt} - e^{-at})/(a - b), the divided difference that a level decaying
+    at rate a holds when fed at unit rate by a level decaying at rate b.
+
+    The factored form is t e^{-at} at a = b (the secular term at g = 1), is
+    accurate for a near b, and does not overflow for large t.
     """
-    r = np.asarray(rho0, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    e1 = np.exp(-gamma0 * t)
-    e2 = np.exp(-2.0 * gamma0 * t)
-    sec = gamma0 * t * e2
-    r11, r12, r13, r14 = r[0, 0], r[0, 1], r[0, 2], r[0, 3]
-    r22, r23, r24 = r[1, 1], r[1, 2], r[1, 3]
-    r33, r34, r44 = r[2, 2], r[2, 3], r[3, 3]
-    r32 = np.conj(r23)
-    re23 = r23.real
-    sym = r22 + r33 + 2.0 * re23   # symmetric-sector population (x2)
-    asym = r22 + r33 - 2.0 * re23  # antisymmetric-sector population (x2)
+    d = abs(a - b)
+    return np.exp(-min(a, b) * t) * (-np.expm1(-d * t) / d if d else t)
 
+
+def evolve(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
+    """Exact state at time t >= 0 started from rho0 (any 4x4 density matrix).
+
+    An array ``t`` of shape S gives the states stacked to shape S + (4, 4);
+    a scalar ``t`` gives one 4x4 state.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+    g0, up, down = params.gamma0, params.gamma0 + params.gamma, params.gamma0 - params.gamma
+    r = _dicke(rho0)
     out = np.empty(t.shape + (4, 4), dtype=complex)
-    out[..., 0, 0] = e2 * r11
-    out[..., 0, 1] = 0.5 * (e2 * (r12 + r13) + e1 * (r12 - r13))
-    out[..., 0, 2] = 0.5 * (e2 * (r12 + r13) + e1 * (r13 - r12))
-    out[..., 0, 3] = e1 * r14
-    out[..., 1, 1] = 0.25 * e2 * sym + 0.5 * e1 * (r22 - r33) + sec * r11 + 0.25 * asym
-    out[..., 1, 2] = 0.25 * e2 * sym + 0.5 * e1 * (r23 - r32) + sec * r11 - 0.25 * asym
-    out[..., 1, 3] = (
-        -e2 * (r12 + r13)
-        + 0.5 * e1 * (2.0 * r12 + 2.0 * r13 + r24 + r34)
-        + 0.5 * (r24 - r34)
-    )
-    out[..., 2, 2] = 0.25 * e2 * sym - 0.5 * e1 * (r22 - r33) + sec * r11 + 0.25 * asym
-    out[..., 2, 3] = (
-        -e2 * (r12 + r13)
-        + 0.5 * e1 * (2.0 * r12 + 2.0 * r13 + r24 + r34)
-        - 0.5 * (r24 - r34)
-    )
-    out[..., 3, 3] = (
-        -0.5 * e2 * (1.0 + r11 - r44 + 2.0 * re23)
-        - 2.0 * sec * r11
-        + 0.5 * (1.0 + r11 + r44 + 2.0 * re23)
-    )
+
+    def decay(rate):
+        return np.exp(-rate * t)
+
+    # a rate times a large t may overflow to inf, whose exponential is 0
+    with np.errstate(over="ignore"):
+        out[..., 0, 0] = r[0, 0] * decay(2.0 * g0)
+        out[..., 0, 1] = r[0, 1] * decay(g0 + 0.5 * up)
+        out[..., 0, 2] = r[0, 2] * decay(g0 + 0.5 * down)
+        e1 = decay(g0)
+        out[..., 0, 3] = r[0, 3] * e1
+        out[..., 1, 1] = r[1, 1] * decay(up) + up * r[0, 0] * _fed(up, 2.0 * g0, t)
+        out[..., 1, 2] = r[1, 2] * e1
+        out[..., 1, 3] = r[1, 3] * decay(0.5 * up) + up * r[0, 1] * _fed(0.5 * up, g0 + 0.5 * up, t)
+        out[..., 2, 2] = r[2, 2] * decay(down) + down * r[0, 0] * _fed(down, 2.0 * g0, t)
+        out[..., 2, 3] = (
+            r[2, 3] * decay(0.5 * down) - down * r[0, 2] * _fed(0.5 * down, g0 + 0.5 * down, t)
+        )
+    # |00> collects what the excited levels lose
+    excited = r[0, 0] + r[1, 1] + r[2, 2]
+    out[..., 3, 3] = r[3, 3] + (excited - (out[..., 0, 0] + out[..., 1, 1] + out[..., 2, 2]))
     out[..., _LOWER[0], _LOWER[1]] = out[..., _LOWER[1], _LOWER[0]].conj()
-    return out
+    return _dicke(out)
 
 
 def asymptotic_params(rho0: np.ndarray) -> AsymptoticParams:
@@ -122,58 +139,6 @@ def asymptotic_state(rho0: np.ndarray) -> np.ndarray:
     return stationary_matrix(asymptotic_params(rho0))
 
 
-def evolve_excited_ground_general(gamma0: float, gamma: float, t) -> np.ndarray:
-    """State at time t for one atom excited, one ground, at exchange rate gamma < gamma0.
-
-    The initial excitation sits on atom A (entry (2,2) at t = 0); swapping
-    the atoms relabels indices 2 <-> 3 and leaves the concurrence unchanged.
-    An array ``t`` of shape S gives the states stacked to shape S + (4, 4).
-    """
-    if not 0.0 <= gamma < gamma0:
-        raise ValueError(f"need 0 <= gamma < gamma0, got gamma={gamma}, gamma0={gamma0}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"t must be nonnegative, got {t}")
-    e = np.exp(-gamma0 * t)
-    ch = np.cosh(gamma * t)
-    sh = np.sinh(gamma * t)
-    m = np.zeros(t.shape + (4, 4), dtype=complex)
-    m[..., 1, 1] = 0.5 * e * (ch + 1.0)
-    m[..., 2, 2] = 0.5 * e * (ch - 1.0)
-    m[..., 1, 2] = -0.5 * e * sh
-    m[..., 2, 1] = -0.5 * e * sh
-    m[..., 3, 3] = 1.0 - e * ch
-    return m
-
-
-def evolve_bell_general(sign: int, gamma0: float, gamma: float, t) -> np.ndarray:
-    """State at time t for a one-excitation Bell start at exchange rate gamma.
-
-    ``sign`` +1 selects the symmetric (superradiant) state decaying at
-    gamma0 + gamma, -1 the antisymmetric (subradiant) state decaying at
-    gamma0 - gamma.  The central off-diagonal keeps the sign of the initial
-    Bell state, as required by the generator (the superradiant/subradiant
-    sectors are eigenspaces of the exchange operator, so the coherence
-    pattern is preserved while the population drains to the ground state).
-    An array ``t`` of shape S gives the states stacked to shape S + (4, 4).
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not 0.0 <= gamma <= gamma0:
-        raise ValueError(f"need 0 <= gamma <= gamma0, got gamma={gamma}, gamma0={gamma0}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"t must be nonnegative, got {t}")
-    e = np.exp(-(gamma0 + sign * gamma) * t)
-    m = np.zeros(t.shape + (4, 4), dtype=complex)
-    m[..., 1, 1] = 0.5 * e
-    m[..., 2, 2] = 0.5 * e
-    m[..., 1, 2] = sign * 0.5 * e
-    m[..., 2, 1] = sign * 0.5 * e
-    m[..., 3, 3] = 1.0 - e
-    return m
-
-
 def _require_peak_rates(gamma0: float, gamma: float) -> None:
     if gamma >= gamma0:
         raise DegenerateRatesError(
@@ -183,14 +148,19 @@ def _require_peak_rates(gamma0: float, gamma: float) -> None:
         raise DegenerateRatesError(f"peak formulas need gamma > 0, got gamma={gamma}")
 
 
+def _log_rate_ratio(gamma0: float, gamma: float) -> float:
+    """log((gamma0 + gamma)/(gamma0 - gamma)), accurate where the ratio rounds to 1."""
+    return np.log1p(2.0 * gamma / (gamma0 - gamma))
+
+
 def t_gamma(gamma0: float, gamma: float) -> float:
     """Time of maximal transient concurrence for the excited-ground start."""
     _require_peak_rates(gamma0, gamma)
-    return float(np.log((gamma0 + gamma) / (gamma0 - gamma)) / (2.0 * gamma))
+    return float(_log_rate_ratio(gamma0, gamma) / (2.0 * gamma))
 
 
 def c_max(gamma0: float, gamma: float) -> float:
     """Peak value of the transient concurrence exp(-gamma0 t) sinh(gamma t)."""
     _require_peak_rates(gamma0, gamma)
-    ratio = (gamma0 + gamma) / (gamma0 - gamma)
-    return float(gamma / (gamma0 - gamma) * ratio ** (-(gamma0 + gamma) / (2.0 * gamma)))
+    log_ratio = _log_rate_ratio(gamma0, gamma)
+    return float(gamma / (gamma0 - gamma) * np.exp(-(gamma0 + gamma) / (2.0 * gamma) * log_ratio))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -151,7 +152,10 @@ def write_table(columns: dict, metadata: dict, fmt: str, fp) -> None:
             header += [name] if col.ndim == 1 else [
                 f"{name}_{part}_{lbl}" for lbl in _RHO_LABELS for part in ("re", "im")
             ]
-        rows = np.column_stack([col.reshape(len(col), -1) for col in cells.values()])
+        # the trailing size, not -1, which a zero-row stack cannot resolve
+        rows = np.column_stack(
+            [col.reshape(len(col), math.prod(col.shape[1:])) for col in cells.values()]
+        )
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows.tolist())

@@ -15,9 +15,7 @@ from twoatom.propagator import (
     asymptotic_params,
     asymptotic_state,
     c_max,
-    evolve_bell_general,
-    evolve_excited_ground_general,
-    evolve_g1,
+    evolve,
     t_gamma,
 )
 from twoatom.states import bell, bell_diagonal, mems, mems_h, mes, product_state, werner
@@ -34,14 +32,14 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_closed_form_matches_rk4_oracle():
-    """100 seeded states, t in {0.1, 0.5, 1, 2, 5}: |evolve_g1 - RK4| < 1e-6, < 10 s."""
+    """100 seeded states, t in {0.1, 0.5, 1, 2, 5}: |closed form - RK4| < 1e-6 at g = 1, < 10 s."""
     sample_times = [0.1, 0.5, 1.0, 2.0, 5.0]
     start = time.perf_counter()
     worst = 0.0
     for rho in random_states(1001, 100):
         numeric = evolve_series(rho, P_G1, sample_times)
         for t, num_state in zip(sample_times, numeric):
-            worst = max(worst, np.abs(evolve_g1(rho, 1.0, t) - num_state).max())
+            worst = max(worst, np.abs(evolve(rho, P_G1, t) - num_state).max())
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 10.0
     _report(1, "closed form vs RK4 oracle", ok, f"max err {worst:.2e}, {elapsed:.1f} s")
@@ -50,12 +48,12 @@ def test_criterion_1_closed_form_matches_rk4_oracle():
 
 
 def test_criterion_2_asymptotic_map():
-    """evolve_g1 at t=50 vs stationary map < 1e-8; concurrence vs 2|alpha| < 1e-10."""
+    """Closed form at g = 1, t=50 vs stationary map < 1e-8; concurrence vs 2|alpha| < 1e-10."""
     worst_state = 0.0
     worst_conc = 0.0
     for rho in random_states(1002, 100):
         stat = asymptotic_state(rho)
-        worst_state = max(worst_state, np.abs(evolve_g1(rho, 1.0, 50.0) - stat).max())
+        worst_state = max(worst_state, np.abs(evolve(rho, P_G1, 50.0) - stat).max())
         alpha = asymptotic_params(rho).alpha
         worst_conc = max(worst_conc, abs(concurrence(stat) - 2.0 * abs(alpha)))
     ok = worst_state < 1e-8 and worst_conc < 1e-10
@@ -78,10 +76,10 @@ def test_criterion_3_excited_ground_concurrence_curve():
     """
     rho0 = product_state(qmat.EXCITED, qmat.GROUND)
     grid = np.linspace(0.0, 5.0, 501)
-    computed = np.array([concurrence(evolve_g1(rho0, 1.0, t)) for t in grid])
+    computed = np.array([concurrence(evolve(rho0, P_G1, t)) for t in grid])
     expected = 0.5 * (1.0 - np.exp(-2.0 * grid))
     worst = np.abs(computed - expected).max()
-    asymptote_ok = abs(concurrence(evolve_g1(rho0, 1.0, 50.0)) - 0.5) < 1e-8
+    asymptote_ok = abs(concurrence(evolve(rho0, P_G1, 50.0)) - 0.5) < 1e-8
     ok = worst < 1e-8 and asymptote_ok
     _report(
         3, "excited x ground transient curve", ok,
@@ -99,10 +97,11 @@ def test_criterion_3_excited_ground_concurrence_curve():
 def test_criterion_4_general_rate_transient():
     """Concurrence of the general-rate matrix equals exp(-t) sinh(g t); peak values."""
     grid = np.linspace(0.0, 5.0, 501)
+    rho0 = product_state(qmat.EXCITED, qmat.GROUND)
     worst = 0.0
     for g in (0.3, 0.7, 0.99):
         for t in grid:
-            c = concurrence(evolve_excited_ground_general(1.0, g, t))
+            c = concurrence(evolve(rho0, ModelParams(1.0, g), t))
             worst = max(worst, abs(c - np.exp(-t) * np.sinh(g * t)))
     # brute-force grid search against the printed peak formulas
     peak_ok = True
@@ -129,16 +128,17 @@ def test_criterion_4_general_rate_transient():
 def test_criterion_5_superradiant_subradiant_curves():
     """Bell-start concurrences equal exp(-(1 +- g) t) at g = 0.99; minus dominates."""
     g = 0.99
+    params = ModelParams(1.0, g)
+    plus, minus = bell("psi_plus"), bell("psi_minus")
     grid = np.linspace(0.0, 5.0, 501)
     worst = 0.0
-    for sign in (+1, -1):
+    for sign, rho0 in ((+1, plus), (-1, minus)):
         for t in grid:
-            c = concurrence(evolve_bell_general(sign, 1.0, g, t))
+            c = concurrence(evolve(rho0, params, t))
             worst = max(worst, abs(c - np.exp(-(1.0 + sign * g) * t)))
     positive = grid[grid > 0]
     dominance = all(
-        concurrence(evolve_bell_general(-1, 1.0, g, t))
-        > concurrence(evolve_bell_general(+1, 1.0, g, t))
+        concurrence(evolve(minus, params, t)) > concurrence(evolve(plus, params, t))
         for t in positive[:: 25]
     )
     ok = worst < 1e-8 and dominance

@@ -118,10 +118,26 @@ class TestEvolve:
         expected = np.exp(-cols["t"]) * np.sinh(0.5 * cols["t"])
         assert np.abs(cols["concurrence"] - expected).max() < 1e-10
 
-    def test_closed_form_unsupported_below_g1(self, tmp_path):
+    def test_closed_form_any_state_below_g1(self, tmp_path):
         state = _write_state(tmp_path, "w.json", {"family": "werner", "params": {"p": 0.7}})
-        rc = main(["evolve", "--state", state, "--g", "0.5", "--method", "closed-form"])
-        assert rc == EXIT_UNSUPPORTED
+        tables = {}
+        for method in ("closed-form", "rk4"):
+            out = tmp_path / f"{method}.csv"
+            rc = main(["evolve", "--state", state, "--g", "0.5", "--method", method,
+                       "--with-rho", "--output", str(out)])
+            assert rc == EXIT_OK
+            header, cols = _read_csv(out)
+            tables[method] = np.column_stack([cols[name] for name in header])
+        assert np.abs(tables["closed-form"] - tables["rk4"]).max() < 1e-6
+
+    def test_small_step_matches_closed_form(self, eg_state, capsys):
+        tables = []
+        for extra in (["--dt", "1e-8"], ["--method", "closed-form"]):
+            argv = ["evolve", "--state", eg_state, "--g", "0.5", "--samples", "3", "--with-rho"]
+            assert main(argv + extra) == EXIT_OK
+            rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+            tables.append(np.array(rows, dtype=float))
+        assert np.abs(tables[0] - tables[1]).max() < 1e-6
 
     def test_with_rho_columns(self, tmp_path, eg_state):
         out = tmp_path / "ts.csv"
@@ -297,9 +313,13 @@ class TestExitCodes:
             (["figure", "fig1", "--gamma0", "-1"], EXIT_UNSUPPORTED),
             (["evolve", "--state", "STATE", "--dt", "inf"], EXIT_UNSUPPORTED),
             (["evolve", "--state", "STATE", "--t-max", "5e-324", "--samples", "3"], EXIT_UNSUPPORTED),
+            (["evolve", "--state", "STATE", "--g", "0.5", "--samples", "3", "--dt", "1e-16"],
+             EXIT_UNSUPPORTED),
+            (["evolve", "--state", "STATE", "--g", "0.5", "--samples", "3", "--dt", "1e-18"],
+             EXIT_UNSUPPORTED),
         ],
         ids=["t-max-inf", "step-too-large", "asymptotic-g-7", "figure-negative-gamma0", "dt-inf",
-             "t-max-below-spacing"],
+             "t-max-below-spacing", "dt-1e-16", "dt-1e-18"],
     )
     def test_bad_parameters_exit_with_one_line(self, eg_state, capsys, argv, code):
         rc = main([eg_state if a == "STATE" else a for a in argv])

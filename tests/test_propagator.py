@@ -1,18 +1,21 @@
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import twoatom
 from twoatom import qmat
 from twoatom.entanglement import concurrence
-from twoatom.model import ModelParams, evolve_series, integrate, lindblad_rhs
+from twoatom.model import ModelParams, ParameterError, evolve_series, integrate, lindblad_rhs
 from twoatom.propagator import (
     AsymptoticParams,
     DegenerateRatesError,
     asymptotic_params,
     asymptotic_state,
     c_max,
-    evolve_bell_general,
-    evolve_excited_ground_general,
-    evolve_g1,
+    evolve,
     stationary_matrix,
     t_gamma,
 )
@@ -20,17 +23,20 @@ from twoatom.states import bell, bell_diagonal, product_state, werner
 
 from conftest import random_states
 
+P_G1 = ModelParams(1.0, 1.0)
+EXCITED_GROUND = product_state(qmat.EXCITED, qmat.GROUND)
+
 
 class TestEvolveG1:
     def test_zero_time_identity(self):
         for rho in random_states(83, 5):
-            assert np.abs(evolve_g1(rho, 1.0, 0.0) - rho).max() < 1e-12
+            assert np.abs(evolve(rho, P_G1, 0.0) - rho).max() < 1e-12
 
     def test_secular_term_feeds_single_excitation(self):
         # starting doubly excited, the only contribution to entry (2,2) at
         # time t is the secular gamma0*t*exp(-2*gamma0*t) term
         rho = product_state(qmat.EXCITED, qmat.EXCITED)
-        out = evolve_g1(rho, 1.0, 1.0)
+        out = evolve(rho, P_G1, 1.0)
         assert out[1, 1].real == pytest.approx(np.exp(-2.0), abs=1e-14)
 
     def test_matches_rk4_oracle(self):
@@ -39,22 +45,74 @@ class TestEvolveG1:
         for rho in random_states(89, 50):
             series = evolve_series(rho, params, [0.3, 1.0, 3.0])
             for t, numeric in zip([0.3, 1.0, 3.0], series):
-                closed = evolve_g1(rho, 1.0, t)
+                closed = evolve(rho, P_G1, t)
                 worst = max(worst, np.abs(closed - numeric).max())
         assert worst < 1e-6
 
     def test_outputs_are_valid_states(self):
         for rho in random_states(97, 10):
             for t in (0.2, 1.0, 7.0):
-                out = evolve_g1(rho, 1.0, t)
+                out = evolve(rho, P_G1, t)
                 qmat.validate_state(out, atol=1e-9)
                 assert abs(np.trace(out) - 1.0) < 1e-12
                 assert np.abs(out - out.conj().T).max() < 1e-12
 
     def test_converges_to_stationary_state(self):
         for rho in random_states(101, 20):
-            late = evolve_g1(rho, 1.0, 50.0)
+            late = evolve(rho, P_G1, 50.0)
             assert np.abs(late - asymptotic_state(rho)).max() < 1e-8
+
+
+class TestEvolve:
+    G_VALUES = (0.0, 1e-8, 0.3, 0.7, 1.0 - 1e-8, 1.0)
+
+    @pytest.mark.parametrize("g", G_VALUES)
+    def test_matches_rk4_oracle_for_every_start(self, g):
+        params = ModelParams(1.3, g)
+        grid = np.linspace(0.0, 4.0, 9)
+        worst = 0.0
+        for rho in random_states(113, 20):
+            exact, numeric = evolve(rho, params, grid), evolve_series(rho, params, grid)
+            worst = max(worst, np.abs(exact - numeric).max())
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("g", G_VALUES)
+    def test_late_time_is_stationary_without_warnings(self, g):
+        rho = random_states(127, 1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            late = evolve(rho, ModelParams(1.3, g), 1e300)
+        stationary = asymptotic_state(rho) if g == 1.0 else product_state(qmat.GROUND, qmat.GROUND)
+        assert np.abs(late - stationary).max() < 1e-14
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_time(self, bad):
+        with pytest.raises(ParameterError):
+            evolve(EXCITED_GROUND, P_G1, [0.0, bad])
+
+
+def _imports(module: str) -> set:
+    """(from, name) pairs of the imports in twoatom/<module>.py; ``from`` is None
+    for ``from . import name`` and ``name`` None for a plain ``import``."""
+    tree = ast.parse(Path(twoatom.__file__).with_name(f"{module}.py").read_text())
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            pairs |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            pairs |= {(alias.name, None) for alias in node.names}
+    return pairs
+
+
+def test_rk4_oracle_shares_no_code_with_propagator():
+    """The oracle imports nothing from the propagator, and the propagator takes
+    from the oracle's module only the parameter type and its error."""
+    assert not any("propagator" in f"{src}.{name}" for src, name in _imports("model"))
+    propagator = _imports("propagator")
+    assert {name for src, name in propagator if src and src.endswith("model")} == {
+        "ModelParams", "ParameterError",
+    }
+    assert not any(name == "model" for _, name in propagator)
 
 
 class TestStackedTimes:
@@ -62,9 +120,10 @@ class TestStackedTimes:
         grid = np.linspace(0.0, 4.0, 9)
         rho = random_states(109, 1)[0]
         cases = [
-            lambda t: evolve_g1(rho, 1.3, t),
-            lambda t: evolve_excited_ground_general(1.3, 0.6, t),
-            lambda t: evolve_bell_general(-1, 1.3, 0.6, t),
+            lambda t: evolve(rho, ModelParams(1.3, 1.0), t),
+            lambda t: evolve(rho, ModelParams(1.3, 0.6), t),
+            lambda t: evolve(EXCITED_GROUND, ModelParams(1.3, 0.6), t),
+            lambda t: evolve(bell("psi_minus"), ModelParams(1.3, 0.6), t),
         ]
         for fn in cases:
             stack = fn(grid)
@@ -125,12 +184,12 @@ class TestAsymptoticMap:
 
 class TestExcitedGroundGeneral:
     def test_initial_state(self):
-        out = evolve_excited_ground_general(1.0, 0.5, 0.0)
-        assert np.allclose(out, product_state(qmat.EXCITED, qmat.GROUND), atol=1e-15)
+        out = evolve(EXCITED_GROUND, ModelParams(1.0, 0.5), 0.0)
+        assert np.allclose(out, EXCITED_GROUND, atol=1e-15)
 
     def test_coherence_magnitude(self):
         # |off-diagonal| = exp(-gamma0 t) sinh(gamma t) / 2 at gamma0=1, gamma=0.5, t=1
-        out = evolve_excited_ground_general(1.0, 0.5, 1.0)
+        out = evolve(EXCITED_GROUND, ModelParams(1.0, 0.5), 1.0)
         expected = 0.5 * np.exp(-1.0) * np.sinh(0.5)
         assert abs(out[1, 2]) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.09585012489105091, abs=1e-15)
@@ -138,30 +197,26 @@ class TestExcitedGroundGeneral:
     @pytest.mark.parametrize("g", [0.3, 0.7, 0.99])
     def test_matches_rk4_oracle(self, g):
         params = ModelParams(1.0, g)
-        rho0 = product_state(qmat.EXCITED, qmat.GROUND)
         for t in (0.5, 2.0):
-            numeric = integrate(rho0, params, t)
-            closed = evolve_excited_ground_general(1.0, g, t)
+            numeric = integrate(EXCITED_GROUND, params, t)
+            closed = evolve(EXCITED_GROUND, params, t)
             assert np.abs(closed - numeric).max() < 1e-6
 
     def test_outputs_valid(self):
         for t in np.linspace(0, 8, 9):
-            qmat.validate_state(evolve_excited_ground_general(1.0, 0.8, t), atol=1e-12)
-
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError):
-            evolve_excited_ground_general(1.0, 1.0, 0.5)
+            qmat.validate_state(evolve(EXCITED_GROUND, ModelParams(1.0, 0.8), t), atol=1e-12)
 
 
 class TestBellGeneral:
     def test_initial_states(self):
-        assert np.allclose(evolve_bell_general(+1, 1.0, 0.9, 0.0), bell("psi_plus"), atol=1e-15)
-        assert np.allclose(evolve_bell_general(-1, 1.0, 0.9, 0.0), bell("psi_minus"), atol=1e-15)
+        params = ModelParams(1.0, 0.9)
+        assert np.allclose(evolve(bell("psi_plus"), params, 0.0), bell("psi_plus"), atol=1e-15)
+        assert np.allclose(evolve(bell("psi_minus"), params, 0.0), bell("psi_minus"), atol=1e-15)
 
     def test_subradiant_stability_at_equal_rates(self):
         rho = bell("psi_minus")
         for t in (0.5, 4.0):
-            assert np.abs(evolve_bell_general(-1, 1.0, 1.0, t) - rho).max() < 1e-15
+            assert np.abs(evolve(rho, P_G1, t) - rho).max() < 1e-15
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_matches_rk4_oracle(self, sign):
@@ -169,19 +224,16 @@ class TestBellGeneral:
         rho0 = bell("psi_plus" if sign > 0 else "psi_minus")
         for t in (1.0, 5.0):
             numeric = integrate(rho0, params, t)
-            closed = evolve_bell_general(sign, 1.0, 0.99, t)
+            closed = evolve(rho0, params, t)
             assert np.abs(closed - numeric).max() < 1e-6
 
     def test_superradiant_reduces_to_g1_propagator(self):
+        # the g < 1 solution tends to the g = 1 one, whose secular term it contains
         rho0 = bell("psi_plus")
         for t in (0.3, 1.0, 2.5):
-            a = evolve_bell_general(+1, 1.0, 1.0, t)
-            b = evolve_g1(rho0, 1.0, t)
+            a = evolve(rho0, ModelParams(1.0, 1.0 - 1e-12), t)
+            b = evolve(rho0, P_G1, t)
             assert np.abs(a - b).max() < 1e-10
-
-    def test_rejects_bad_sign(self):
-        with pytest.raises(ValueError):
-            evolve_bell_general(0, 1.0, 0.5, 1.0)
 
 
 class TestPeak:
@@ -203,6 +255,13 @@ class TestPeak:
         assert abs(ts[i] - t_gamma(1.0, g)) < 1e-4
         assert abs(vals[i] - c_max(1.0, g)) < 1e-4
 
+    @pytest.mark.parametrize("gamma0", [1.0, 2.5])
+    @pytest.mark.parametrize("g", [1e-300, 1e-8])
+    def test_small_exchange_limits(self, gamma0, g):
+        # t_gamma -> 1/gamma0 and c_max -> g/e as g -> 0, with relative corrections O(g^2)
+        assert t_gamma(gamma0, g * gamma0) == pytest.approx(1.0 / gamma0, rel=1e-12)
+        assert c_max(gamma0, g * gamma0) == pytest.approx(g / np.e, rel=1e-12)
+
     def test_rejects_degenerate_rates(self):
         with pytest.raises(DegenerateRatesError):
             t_gamma(1.0, 1.0)
@@ -218,7 +277,7 @@ class TestConcurrenceAlongFlow:
         # exp(-gamma0 t) sinh(gamma0 t) = (1 - exp(-2 gamma0 t))/2 at g = 1
         rho0 = product_state(qmat.EXCITED, qmat.GROUND)
         for t in np.linspace(0.0, 5.0, 26):
-            c = concurrence(evolve_g1(rho0, 1.0, t))
+            c = concurrence(evolve(rho0, P_G1, t))
             assert c == pytest.approx(np.exp(-t) * np.sinh(t), abs=1e-10)
 
     def test_stationary_concurrence_doubles_alpha(self):

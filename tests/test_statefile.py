@@ -126,6 +126,13 @@ class TestTimeSeries:
         assert row == "0.0,0.5," + ",".join(values)
         assert buf.getvalue().endswith("\n")
 
+    def test_csv_zero_rows_with_states(self):
+        buf = io.StringIO()
+        rho = np.zeros((0, 4, 4), dtype=complex)
+        write_table({"t": np.zeros(0), "rho": rho}, {}, "csv", buf)
+        header, = buf.getvalue().splitlines()
+        assert header.startswith("t,rho_re_11,rho_im_11,") and header.endswith(",rho_im_44")
+
     def test_json_envelope(self):
         buf = io.StringIO()
         write_table(

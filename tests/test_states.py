@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom import entanglement, qmat
-from twoatom.propagator import asymptotic_params, evolve_g1
+from twoatom.model import ModelParams
+from twoatom.propagator import asymptotic_params, evolve
 from twoatom.states import (
     BELL_NAMES,
     InvalidWeightsError,
@@ -66,7 +67,7 @@ class TestBell:
     def test_antisymmetric_state_is_g1_fixed_point(self):
         rho = bell("psi_minus")
         for t in (0.5, 2.0, 10.0):
-            assert np.abs(evolve_g1(rho, 1.0, t) - rho).max() < 1e-12
+            assert np.abs(evolve(rho, ModelParams(1.0, 1.0), t) - rho).max() < 1e-12
 
     def test_reduced_state_maximally_mixed(self):
         red = qmat.partial_trace(bell("phi_plus"), "A")
