@@ -14,9 +14,6 @@ from . import qmat
 #: sigma_2 x sigma_2, the spin-flip sandwich (real orthogonal symmetric)
 SPIN_FLIP_OP = qmat.kron(qmat.SIGMA_2, qmat.SIGMA_2)
 
-#: concurrences below this are treated as zero when classifying states
-ZERO_BAND = 1e-7
-
 
 class NotPureError(ValueError):
     """Entropy of entanglement is defined for pure states only."""

@@ -8,9 +8,10 @@ Hamiltonian part):
     L(rho) = (gamma0/2) [2 sA rho sA+ + 2 sB rho sB+ - {sA+ sA + sB+ sB, rho}]
            + (gamma/2)  [2 sA rho sB+ + 2 sB rho sA+ - {sA+ sB + sB+ sA, rho}]
 
-with sA = sigma_minus x I and sB = I x sigma_minus.  The numerical solver
-here is the independent oracle for every closed-form result in
-:mod:`twoatom.propagator`.
+with sA = sigma_minus x I and sB = I x sigma_minus.  :func:`lindblad_rhs`
+is the one definition of L; the 16x16 Liouvillian is L applied to the 16
+matrix units.  The numerical solver here is the independent oracle for
+every closed-form result in :mod:`twoatom.propagator`.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ SIGMA_PLUS_B = qmat.kron(qmat.IDENTITY_2, qmat.SIGMA_PLUS)
 _N_OP = SIGMA_PLUS_A @ SIGMA_MINUS_A + SIGMA_PLUS_B @ SIGMA_MINUS_B
 _M_OP = SIGMA_PLUS_A @ SIGMA_MINUS_B + SIGMA_PLUS_B @ SIGMA_MINUS_A
 _IDENTITY_16 = np.eye(16, dtype=complex)
-
-#: positivity slack allowed on integrator output before StepTooLargeError
-POSITIVITY_GUARD = 1e-6
+#: the 16 matrix units E_k, with vec(E_k) the k-th basis vector of row-major vec
+_UNITS = _IDENTITY_16.reshape(16, 4, 4)
 
 #: smallest gamma0 * step.  Below it the diagonal of the step polynomial
 #: I + hL + ... loses the digits of hL to rounding, and that loss compounds
@@ -43,7 +43,7 @@ MIN_SCALED_STEP = 1e-10
 
 
 class StepTooLargeError(RuntimeError):
-    """The integrator produced a state violating positivity beyond the guard."""
+    """The integrator produced a state violating positivity beyond qmat.TOL_STRUCTURAL."""
 
 
 class ParameterError(ValueError):
@@ -77,17 +77,6 @@ class ModelParams:
         return self.g * self.gamma0
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step classical 4th-order Runge-Kutta configuration."""
-
-    step: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.step < np.inf:
-            raise ParameterError(f"step must be positive and finite, got {self.step}")
-
-
 def time_grid(t_max: float, samples: int) -> np.ndarray:
     """``samples`` equally spaced, distinct times on [0, t_max]; t_max finite and positive."""
     if not 0.0 < t_max < np.inf:
@@ -101,7 +90,10 @@ def time_grid(t_max: float, samples: int) -> np.ndarray:
 
 
 def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Right-hand side L(rho): traceless, Hermitian for Hermitian input."""
+    """Right-hand side L(rho), of one 4x4 matrix or of each in a stack.
+
+    Traceless, and Hermitian for Hermitian input.
+    """
     rho = np.asarray(rho, dtype=complex)
     own = (
         2.0 * SIGMA_MINUS_A @ rho @ SIGMA_PLUS_A
@@ -119,29 +111,11 @@ def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def liouvillian(params: ModelParams) -> np.ndarray:
-    """16x16 matrix representing L on row-major vec(rho).
+    """16x16 matrix representing L on row-major vec(rho); the integrator steps it.
 
-    Uses vec(A rho B) = (A kron B^T) vec(rho).  Agrees elementwise with
-    :func:`lindblad_rhs`; the integrator steps this matrix.
+    Column k is vec(L(E_k)) for the k-th matrix unit E_k.
     """
-
-    def sandwich(a, b):
-        return np.kron(a, b.T)
-
-    i4 = qmat.IDENTITY_4
-    own = (
-        2.0 * sandwich(SIGMA_MINUS_A, SIGMA_PLUS_A)
-        + 2.0 * sandwich(SIGMA_MINUS_B, SIGMA_PLUS_B)
-        - sandwich(_N_OP, i4)
-        - sandwich(i4, _N_OP)
-    )
-    cross = (
-        2.0 * sandwich(SIGMA_MINUS_A, SIGMA_PLUS_B)
-        + 2.0 * sandwich(SIGMA_MINUS_B, SIGMA_PLUS_A)
-        - sandwich(_M_OP, i4)
-        - sandwich(i4, _M_OP)
-    )
-    return 0.5 * params.gamma0 * own + 0.5 * params.gamma * cross
+    return lindblad_rhs(_UNITS, params).reshape(16, 16).T
 
 
 def _rk4_step_matrix(lv: np.ndarray, h: float) -> np.ndarray:
@@ -158,12 +132,16 @@ def _rk4_step_matrix(lv: np.ndarray, h: float) -> np.ndarray:
 
 
 def _check_positivity(traj: np.ndarray, t_grid: np.ndarray) -> None:
-    """Raise at the first time whose state has an eigenvalue below the guard."""
+    """Raise at the first time whose state has an eigenvalue below -qmat.TOL_STRUCTURAL.
+
+    That is the slack the entanglement measures accept, so a trajectory that
+    passes here can be measured.
+    """
     herm = 0.5 * (traj + traj.conj().swapaxes(-1, -2))
     min_eig = np.full(len(traj), np.nan)
     finite = np.isfinite(herm).all(axis=(-2, -1))
     min_eig[finite] = np.linalg.eigvalsh(herm[finite])[:, 0]
-    bad = np.flatnonzero(~(min_eig >= -POSITIVITY_GUARD))
+    bad = np.flatnonzero(~(min_eig >= -qmat.TOL_STRUCTURAL))
     if bad.size:
         i = bad[0]
         raise StepTooLargeError(
@@ -171,41 +149,27 @@ def _check_positivity(traj: np.ndarray, t_grid: np.ndarray) -> None:
         )
 
 
-def integrate(
-    rho0: np.ndarray,
-    params: ModelParams,
-    t: float,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> np.ndarray:
-    """Propagate rho0 to time t with fixed-step RK4.  t = 0 returns rho0 as is."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0:
-        return np.array(rho0, dtype=complex)
-    return evolve_series(rho0, params, [t], config)[0]
+def integrate(rho0: np.ndarray, params: ModelParams, t: float, step: float = 1e-3) -> np.ndarray:
+    """Propagate rho0 to time t >= 0 with fixed-step RK4.  t = 0 returns rho0 as is."""
+    return evolve_series(rho0, params, [t], step)[0]
 
 
-def evolve_series(
-    rho0: np.ndarray,
-    params: ModelParams,
-    t_grid,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> np.ndarray:
+def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1e-3) -> np.ndarray:
     """States at every grid time from a single integrator pass, shape (T, 4, 4).
 
-    The grid must be nonnegative and strictly ascending, and
-    ``params.gamma0 * config.step`` at least :data:`MIN_SCALED_STEP`.  Each interval
-    between samples (the first from t = 0) takes whole steps of
-    ``config.step`` plus one shorter remainder step, so a step above the
-    sample spacing acts as the spacing.  The advance matrix of an interval
-    depends only on its (whole steps, remainder) pair and is built once per
-    distinct pair.
+    The grid must be nonnegative and strictly ascending, and ``step`` finite
+    with ``params.gamma0 * step`` at least :data:`MIN_SCALED_STEP`.  Each
+    interval between samples (the first from t = 0) takes whole steps of
+    ``step`` plus one shorter remainder step, so a step above the sample
+    spacing acts as the spacing.  The advance matrix of an interval depends
+    only on its (whole steps, remainder) pair and is built once per distinct
+    pair.
     """
     floor = MIN_SCALED_STEP / params.gamma0
-    if not config.step >= floor:
+    if not floor <= step < np.inf:
         raise ParameterError(
-            f"step {config.step} is below {MIN_SCALED_STEP}/gamma0 = {floor:g}, "
-            "where rounding swamps RK4"
+            f"step must be finite and at least {MIN_SCALED_STEP}/gamma0 = {floor:g} "
+            f"(below it rounding swamps RK4), got {step}"
         )
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid[0] < 0:
@@ -214,20 +178,20 @@ def evolve_series(
         raise ValueError("grid times must be strictly ascending")
     gaps = np.diff(t_grid, prepend=0.0)
     with np.errstate(over="ignore"):
-        whole = np.floor(gaps / config.step + 1e-12)
+        whole = np.floor(gaps / step + 1e-12)
     if not np.all(np.isfinite(whole)):
-        raise ParameterError(f"grid spacing over step {config.step} overflows")
-    rem = gaps - whole * config.step
+        raise ParameterError(f"grid spacing over step {step} overflows")
+    rem = gaps - whole * step
     # a remainder that is rounding residue of the gap takes no step
     rem[rem <= 1e-12 * gaps] = 0.0
     pairs, index = np.unique(np.column_stack([whole, rem]), axis=0, return_inverse=True)
     lv = liouvillian(params)
     # an unstable step may overflow; the positivity guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _rk4_step_matrix(lv, config.step)
+        step_matrix = _rk4_step_matrix(lv, step)
         advance = []
         for n, h in pairs:
-            a = np.linalg.matrix_power(step, int(n))
+            a = np.linalg.matrix_power(step_matrix, int(n))
             advance.append(_rk4_step_matrix(lv, h) @ a if h > 0 else a)
         traj = np.empty((len(t_grid), 16), dtype=complex)
         y = np.asarray(rho0, dtype=complex).reshape(16)

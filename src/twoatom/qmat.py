@@ -17,21 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-# Structural tolerances (hermiticity / trace / positivity of states) and the
-# looser algebraic tolerance (matrix square roots etc.).  Functions take these
-# as defaults so tests can override.
+# Structural tolerance (hermiticity / trace / positivity of states).  Functions
+# take it as a default so tests can override.
 TOL_STRUCTURAL = 1e-9
-TOL_ALGEBRAIC = 1e-8
 
 #: single-atom basis kets, |1> excited, |0> ground
 EXCITED = np.array([1.0, 0.0], dtype=complex)
 GROUND = np.array([0.0, 1.0], dtype=complex)
 
-#: Pauli matrices needed for raising/lowering and the spin flip
-SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+#: Pauli matrix needed for the spin flip
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
-#: sigma_plus = |1><0|, sigma_minus = |0><1| = (sigma_1 -+ i sigma_2)/2
+#: sigma_plus = |1><0|, sigma_minus = |0><1|
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
@@ -158,22 +155,3 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = g @ dag(g)
     return rho / np.trace(rho).real
-
-
-def random_pure_state(rng: np.random.Generator) -> np.ndarray:
-    """Rank-1 random state from a normalized complex Gaussian vector."""
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
-def random_qubit_vector(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return v / np.linalg.norm(v)
-
-
-def random_single_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary via QR with phase fix."""
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

@@ -20,7 +20,7 @@ from twoatom.propagator import (
 )
 from twoatom.states import bell, bell_diagonal, mems, mems_h, mes, product_state, werner
 
-from conftest import random_states
+from conftest import random_single_qubit_unitary, random_states
 
 P_G1 = ModelParams(gamma0=1.0, g=1.0)
 
@@ -215,9 +215,7 @@ def test_criterion_8_property_suite():
     gen = np.random.default_rng(1010)
     unitary_ok = True
     for rho in random_states(1011, 100):
-        u = qmat.kron(
-            qmat.random_single_qubit_unitary(gen), qmat.random_single_qubit_unitary(gen)
-        )
+        u = qmat.kron(random_single_qubit_unitary(gen), random_single_qubit_unitary(gen))
         if abs(concurrence(u @ rho @ u.conj().T) - concurrence(rho)) > 1e-9:
             unitary_ok = False
     details.append(f"local-unitary invariance {unitary_ok}")

@@ -282,6 +282,7 @@ class TestPeak:
         assert json.loads(out.read_text())["c_max"] > 0.0
 
     def test_degenerate_rates_rejected(self):
+        assert main(["peak", "--g", "0"]) == EXIT_UNSUPPORTED
         assert main(["peak", "--g", "1.0"]) == EXIT_UNSUPPORTED
         assert main(["peak", "--g", "1.5"]) == EXIT_UNSUPPORTED
 
@@ -329,6 +330,18 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_negative_eigenvalue_below_measure_tolerance_exits_4(self, tmp_path, capsys):
+        """RK4 at this step leaves an eigenvalue of -7e-7 at t = 5, below what
+        concurrence accepts: one error line and exit 4, not a traceback."""
+        state = _write_state(
+            tmp_path, "mes.json", {"family": "mes", "params": {"a": 0.3, "theta1": 0, "theta2": 0}}
+        )
+        rc = main(["evolve", "--state", state, "--g", "0.9", "--samples", "2", "--dt", "0.85"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "shrink the step" in err
+
     def test_unreadable_state_is_bad_state(self, tmp_path, capsys):
         assert main(["concurrence", "--state", str(tmp_path)]) == EXIT_BAD_STATE
         out, err = capsys.readouterr()
@@ -374,6 +387,13 @@ class TestLargeRates:
         assert unit[-1] > 0.04
         assert np.abs(large - unit).max() <= 1e-12
 
+    def test_fig1_rate_times_time_overflow_decays_to_zero(self, capsys):
+        # 2 gamma0 t overflows to inf at the last sample; RuntimeWarnings are errors here
+        argv = ["figure", "fig1", "--gamma0", "1e154", "--t-max", "1e154", "--samples", "3"]
+        assert main(argv) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [float(r[2]) for r in rows] == [1.0, 0.0, 0.0]
+
 
 _STRANGE = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e-320", "1e308"]
 # argv strings from a process hold no NUL and no unpaired surrogate outside surrogateescape
@@ -414,6 +434,7 @@ def fuzz_dir(tmp_path_factory):
         {"family": "bell", "params": {"which": "psi_minus"}},
         {"family": "werner", "params": {"p": 0.7}},
         {"entries": [[0.25 * (i % 5 == 0), 0.0] for i in range(16)]},
+        {"family": "mes", "params": {"a": 0.3, "theta1": 0, "theta2": 0}},
     ]
     for i, obj in enumerate(states):
         (base / f"state{i}.json").write_text(json.dumps(obj))
@@ -445,7 +466,7 @@ def _argv(draw, base):
         elif flag == "--with-rho":
             argv.append(flag)
         elif flag == "--state":
-            names = ["state0.json", "state1.json", "state2.json", "state3.json", "missing.json", "."]
+            names = [f"state{i}.json" for i in range(5)] + ["missing.json", "."]
             state = draw(st.one_of(st.sampled_from(names).map(lambda n: str(base / n)),
                                    st.just("random"), _JUNK))
             argv.append(f"--state={state}")

@@ -18,7 +18,12 @@ from twoatom.entanglement import (
 from twoatom.propagator import asymptotic_state
 from twoatom.states import bell, bell_diagonal, mems, mes, product_state, purity, werner
 
-from conftest import random_states
+from conftest import (
+    random_pure_state,
+    random_qubit_vector,
+    random_single_qubit_unitary,
+    random_states,
+)
 
 
 class TestSpinFlip:
@@ -45,7 +50,7 @@ class TestConcurrence:
     def test_product_states_separable(self, rng):
         for _ in range(10):
             rho = product_state(
-                qmat.random_qubit_vector(rng), qmat.random_qubit_vector(rng)
+                random_qubit_vector(rng), random_qubit_vector(rng)
             )
             assert concurrence(rho) == pytest.approx(0.0, abs=1e-10)
 
@@ -103,7 +108,7 @@ class TestProductAsymptoticConcurrence:
         )
 
     def test_parallel_zero(self, rng):
-        psi = qmat.random_qubit_vector(rng)
+        psi = random_qubit_vector(rng)
         assert product_asymptotic_concurrence(psi, psi) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_overlap_and_consistency(self):
@@ -135,7 +140,7 @@ class TestMesAsymptoticConcurrence:
 
 class TestPpt:
     def test_product_separable(self, rng):
-        rho = product_state(qmat.random_qubit_vector(rng), qmat.random_qubit_vector(rng))
+        rho = product_state(random_qubit_vector(rng), random_qubit_vector(rng))
         assert is_ppt_separable(rho)
 
     def test_singlet_entangled(self):
@@ -148,7 +153,7 @@ class TestPpt:
 
 class TestEntropyOfEntanglement:
     def test_product_zero(self, rng):
-        rho = product_state(qmat.random_qubit_vector(rng), qmat.random_qubit_vector(rng))
+        rho = product_state(random_qubit_vector(rng), random_qubit_vector(rng))
         assert entropy_of_entanglement(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_maximal(self):
@@ -189,8 +194,8 @@ class TestAgreementProperties:
     def test_local_unitary_invariance(self, rng):
         for rho in random_states(53, 100):
             u = qmat.kron(
-                qmat.random_single_qubit_unitary(rng),
-                qmat.random_single_qubit_unitary(rng),
+                random_single_qubit_unitary(rng),
+                random_single_qubit_unitary(rng),
             )
             rotated = u @ rho @ u.conj().T
             assert abs(concurrence(rotated) - concurrence(rho)) < 1e-9
@@ -200,10 +205,10 @@ class TestAgreementProperties:
         for _ in range(100):
             if rng.uniform() < 0.5:
                 rho = product_state(
-                    qmat.random_qubit_vector(rng), qmat.random_qubit_vector(rng)
+                    random_qubit_vector(rng), random_qubit_vector(rng)
                 )
             else:
-                rho = qmat.random_pure_state(rng)
+                rho = random_pure_state(rng)
             c = concurrence(rho)
             red = qmat.partial_trace(rho, "A")
             marginal_purity = float(np.trace(red @ red).real)
@@ -221,7 +226,7 @@ class TestStackedMeasures:
 
     def _stack(self, rng):
         mixed = random_states(59, 12)
-        pure = [qmat.random_pure_state(rng) for _ in range(6)]  # rank-deficient
+        pure = [random_pure_state(rng) for _ in range(6)]  # rank-deficient
         return np.array(mixed + pure).reshape(3, 6, 4, 4)
 
     def test_stack_equals_per_matrix(self, rng):

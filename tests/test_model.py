@@ -3,15 +3,15 @@ import pytest
 
 from twoatom import qmat
 from twoatom.model import (
-    IntegratorConfig,
     ModelParams,
+    ParameterError,
     StepTooLargeError,
     evolve_series,
     integrate,
     lindblad_rhs,
     liouvillian,
 )
-from twoatom.states import bell, product_state
+from twoatom.states import bell, bell_vector, mes, product_state
 
 from conftest import random_states
 
@@ -27,11 +27,6 @@ class TestModelParams:
     def test_rejects_bad_rates(self, gamma0, g):
         with pytest.raises(ValueError):
             ModelParams(gamma0=gamma0, g=g)
-
-    def test_config_rejects_bad_step(self):
-        for step in (0.0, -1e-3, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                IntegratorConfig(step=step)
 
 
 class TestLindbladRhs:
@@ -56,13 +51,43 @@ class TestLindbladRhs:
             assert abs(np.trace(out)) < 1e-12
             assert np.abs(out - out.conj().T).max() < 1e-12
 
-    def test_matches_superoperator_matrix(self):
-        gen = np.random.default_rng(4)
-        for rho in random_states(43, 10):
-            params = ModelParams(gamma0=gen.uniform(0.5, 2.0), g=gen.uniform(0.0, 1.0))
-            lv = liouvillian(params)
-            direct = lindblad_rhs(rho, params)
-            assert np.abs((lv @ rho.reshape(16)).reshape(4, 4) - direct).max() < 1e-13
+
+# Dicke basis |11>, psi_plus, psi_minus, |00>: excitation numbers and the
+# unitary whose columns are the kets
+_DICKE_EXCITATIONS = np.array([2, 1, 1, 0])
+_DICKE = np.column_stack(
+    [
+        qmat.kron(qmat.EXCITED, qmat.EXCITED),
+        bell_vector("psi_plus"),
+        bell_vector("psi_minus"),
+        qmat.kron(qmat.GROUND, qmat.GROUND),
+    ]
+)
+
+
+class TestLiouvillian:
+    """In the Dicke basis the generator is triangular when its elements are
+    ordered by excitation number (Ficek & Tanas, Phys. Rep. 372, 369 (2002)):
+    the element |i><j| decays at (G_i + G_j)/2 with
+    G = (2 gamma0, gamma0 + gamma, gamma0 - gamma, 0), and feeds only
+    elements with fewer excitations.  So the diagonal is the spectrum.  A
+    sorted-eigenvalue check would not do: the spectrum is the same for
+    gamma -> -gamma, and the diagonal is not."""
+
+    def test_dicke_basis_triangular_with_known_rates(self):
+        # vec(U^H rho U) = (U^H kron U^T) vec(rho) for row-major vec
+        to_dicke = np.kron(_DICKE.conj().T, _DICKE.T)
+        from_dicke = np.kron(_DICKE, _DICKE.conj())
+        exc = (_DICKE_EXCITATIONS[:, None] + _DICKE_EXCITATIONS[None, :]).ravel()
+        # row = target element, column = source element
+        no_loss = (exc[None, :] <= exc[:, None]) & ~np.eye(16, dtype=bool)
+        for g in (0.0, 0.3, 0.999, 1.0):
+            params = ModelParams(gamma0=1.3, g=g)
+            lv = to_dicke @ liouvillian(params) @ from_dicke
+            rates = np.array([2.0, 1.0 + g, 1.0 - g, 0.0]) * params.gamma0
+            decay = 0.5 * (rates[:, None] + rates[None, :]).ravel()
+            assert np.abs(np.diag(lv) + decay).max() <= 1e-14
+            assert np.abs(lv[no_loss]).max() <= 1e-15
 
 
 class TestIntegrate:
@@ -92,17 +117,24 @@ class TestIntegrate:
     def test_unstable_step_raises(self, rng):
         rho = qmat.random_density_matrix(rng)
         with pytest.raises(StepTooLargeError):
-            integrate(rho, P_G1, 50.0, IntegratorConfig(step=5.0))
+            integrate(rho, P_G1, 50.0, step=5.0)
 
     def test_overflowing_step_raises(self):
         # a step of 1e80 overflows the step polynomial to inf and nan entries
         with pytest.raises(StepTooLargeError, match="minimum eigenvalue nan"):
-            integrate(qmat.IDENTITY_4 / 4, P_G1, 1e80, IntegratorConfig(step=1e80))
+            integrate(qmat.IDENTITY_4 / 4, P_G1, 1e80, step=1e80)
+
+    def test_guard_matches_measure_tolerance(self):
+        """A state the entanglement measures would refuse (minimum eigenvalue
+        -7e-7, below -qmat.TOL_STRUCTURAL) is refused by the step guard."""
+        rho = mes(0.3, 0.0, 0.0)
+        with pytest.raises(StepTooLargeError, match=r"^state at t=5 has minimum eigenvalue -7"):
+            evolve_series(rho, ModelParams(1.0, 0.9), [0.0, 5.0], step=0.85)
 
     def test_unstable_step_reported_at_first_bad_time(self, rng):
         rho = qmat.random_density_matrix(rng)
         with pytest.raises(StepTooLargeError, match=r"^state at t=5 has minimum eigenvalue"):
-            evolve_series(rho, P_G1, [0.0, 5.0, 10.0], IntegratorConfig(step=5.0))
+            evolve_series(rho, P_G1, [0.0, 5.0, 10.0], step=5.0)
 
 
 def _rk4_loop(rho, params, t_grid, step):
@@ -135,7 +167,7 @@ class TestEvolveSeries:
         grid = np.linspace(0.0, 1.0, 7)
         for g, rho in zip((0.0, 0.4, 1.0), random_states(62, 3)):
             params = ModelParams(1.3, g)
-            series = evolve_series(rho, params, grid, IntegratorConfig(step=1e-2))
+            series = evolve_series(rho, params, grid, step=1e-2)
             assert series.shape == (7, 4, 4)
             assert np.abs(series - _rk4_loop(rho, params, grid, 1e-2)).max() <= 1e-13
 
@@ -152,6 +184,12 @@ class TestEvolveSeries:
             for t, r in zip(grid, series):
                 single = integrate(rho, ModelParams(1.0, 0.6), t)
                 assert np.abs(r - single).max() < 1e-10
+
+    def test_rejects_bad_step(self):
+        rho = product_state(qmat.EXCITED, qmat.GROUND)
+        for step in (0.0, -1e-3, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                evolve_series(rho, P_G1, [0.0, 1.0], step=step)
 
     def test_rejects_unsorted_grid(self, rng):
         rho = qmat.random_density_matrix(rng)

@@ -19,6 +19,8 @@ from twoatom.states import (
     werner,
 )
 
+from conftest import random_pure_state, random_qubit_vector
+
 
 def _e(j):
     m = np.zeros((4, 4), dtype=complex)
@@ -36,7 +38,7 @@ class TestProductState:
         assert np.allclose(rho, _e(0), atol=1e-15)
 
     def test_is_rank_one(self, rng):
-        rho = product_state(qmat.random_qubit_vector(rng), qmat.random_qubit_vector(rng))
+        rho = product_state(random_qubit_vector(rng), random_qubit_vector(rng))
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized(self):
@@ -47,8 +49,8 @@ class TestProductState:
         # alpha = (1 - |<psi, phi>|^2)/4, beta = (|phi2|^2 psi1 conj(psi2)
         #                                         - |psi2|^2 phi1 conj(phi2))/2
         for _ in range(20):
-            psi = qmat.random_qubit_vector(rng)
-            phi = qmat.random_qubit_vector(rng)
+            psi = random_qubit_vector(rng)
+            phi = random_qubit_vector(rng)
             pars = asymptotic_params(product_state(psi, phi))
             alpha_ref = 0.25 * (1.0 - abs(np.vdot(psi, phi)) ** 2)
             beta_ref = 0.5 * (
@@ -220,12 +222,12 @@ class TestMems:
 class TestPurity:
     def test_bounds(self, rng):
         assert purity(qmat.IDENTITY_4 / 4) == pytest.approx(0.25, abs=1e-15)
-        assert purity(qmat.random_pure_state(rng)) == pytest.approx(1.0, abs=1e-12)
+        assert purity(random_pure_state(rng)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_every_factory_output_is_a_strict_state(rng):
     outputs = [
-        product_state(qmat.random_qubit_vector(rng), qmat.random_qubit_vector(rng)),
+        product_state(random_qubit_vector(rng), random_qubit_vector(rng)),
         *(bell(name) for name in BELL_NAMES),
         mes(0.37, 1.2, 4.4),
         bell_diagonal(0.1, 0.2, 0.3, 0.4),
