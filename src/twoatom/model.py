@@ -157,8 +157,10 @@ def integrate(rho0: np.ndarray, params: ModelParams, t: float, step: float = 1e-
 def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1e-3) -> np.ndarray:
     """States at every grid time from a single integrator pass, shape (T, 4, 4).
 
-    The grid must be nonnegative and strictly ascending, and ``step`` finite
-    with ``params.gamma0 * step`` at least :data:`MIN_SCALED_STEP`.  Each
+    The grid must be finite, nonnegative and strictly ascending, and
+    ``step`` finite with ``params.gamma0 * step`` at least
+    :data:`MIN_SCALED_STEP`; :class:`ParameterError` names the first
+    offending time or the step.  Each
     interval between samples (the first from t = 0) takes whole steps of
     ``step`` plus one shorter remainder step, so a step above the sample
     spacing acts as the spacing.  The advance matrix of an interval depends
@@ -172,10 +174,15 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
             f"(below it rounding swamps RK4), got {step}"
         )
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size and t_grid[0] < 0:
-        raise ValueError("grid times must be nonnegative")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("grid times must be strictly ascending")
+    bad = np.flatnonzero(~((t_grid >= 0) & (t_grid < np.inf)))
+    if bad.size:
+        raise ParameterError(f"grid times must be nonnegative and finite, got t={t_grid[bad[0]]}")
+    back = np.flatnonzero(np.diff(t_grid) <= 0)
+    if back.size:
+        i = back[0] + 1
+        raise ParameterError(
+            f"grid times must be strictly ascending, got t={t_grid[i]} after t={t_grid[i - 1]}"
+        )
     gaps = np.diff(t_grid, prepend=0.0)
     with np.errstate(over="ignore"):
         whole = np.floor(gaps / step + 1e-12)

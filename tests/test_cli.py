@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoatom
-from twoatom import qmat
+from twoatom import propagator, qmat
 from twoatom.cli import EXIT_BAD_STATE, EXIT_NUMERICAL, EXIT_OK, EXIT_UNSUPPORTED, main
+from twoatom.model import ModelParams, ParameterError
 
 
 def _write_state(tmp_path, name, obj):
@@ -285,6 +286,74 @@ class TestPeak:
         assert main(["peak", "--g", "0"]) == EXIT_UNSUPPORTED
         assert main(["peak", "--g", "1.0"]) == EXIT_UNSUPPORTED
         assert main(["peak", "--g", "1.5"]) == EXIT_UNSUPPORTED
+
+
+def _full_grid_peak(gamma0_arg, g_arg):
+    """The brute-force peak check over all 200,000 grid points, as ``cmd_peak``
+    did before it searched a window, with ``main``'s error mapping.
+
+    Returns (exit code, {format: stdout}, stderr).
+    """
+    try:
+        params = ModelParams(gamma0=gamma0_arg, g=g_arg)
+        gamma0, gamma = params.gamma0, params.gamma
+        # brute-force verification on a fine grid
+        t_end = 20.0 / gamma0
+        if not t_end < np.inf:
+            raise ParameterError(f"gamma0={gamma0} is too small for the peak search grid")
+        t_pk = propagator.t_gamma(gamma0, gamma)
+        c_pk = propagator.c_max(gamma0, gamma)
+        grid = np.arange(0.0, t_end, 1e-4 / gamma0)
+        vals = np.exp(-gamma0 * grid) * np.sinh(gamma * grid)
+        i = int(np.argmax(vals))
+    except (ParameterError, propagator.DegenerateRatesError) as exc:
+        return EXIT_UNSUPPORTED, {"csv": "", "json": ""}, f"error: {exc}\n"
+    payload = {
+        "gamma0": gamma0,
+        "g": g_arg,
+        "t_gamma": t_pk,
+        "c_max": c_pk,
+        "grid_t": float(grid[i]),
+        "grid_c": float(vals[i]),
+        "residual_t": float(abs(grid[i] - t_pk)),
+        "residual_c": float(abs(vals[i] - c_pk)),
+    }
+    out = {"json": json.dumps(payload, indent=1) + "\n"}
+    out["csv"] = "".join(
+        f"{key} = {payload[key]!r}\n"
+        for key in ("t_gamma", "c_max", "grid_t", "grid_c", "residual_t", "residual_c")
+    )
+    return EXIT_OK, out, ""
+
+
+def _assert_peak_matches_full_grid(gamma0, g):
+    code, expected, expected_err = _full_grid_peak(gamma0, g)
+    for fmt in ("csv", "json"):
+        argv = ["peak", "--gamma0", repr(gamma0), "--g", repr(g), "--format", fmt]
+        assert _call(argv) == (code, expected[fmt], expected_err), argv
+    return code
+
+
+class TestPeakWindow:
+    """``peak`` searches a certified window of the grid; its bytes and exit
+    code equal those of the search over the whole grid."""
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(20261018)
+        draws = [(rng.uniform(0.5, 2.0), rng.uniform(0.001, 0.999)) for _ in range(120)]
+        draws += [(10 ** rng.uniform(-300, 300), 10 ** rng.uniform(-320, 0)) for _ in range(40)]
+        for gamma0, g in draws:
+            _assert_peak_matches_full_grid(float(gamma0), float(g))
+
+    @pytest.mark.parametrize("gamma0", [0.4, 1.0, 2.5, 1e5, 1e300])
+    def test_extremes(self, gamma0):
+        """Subnormal g * gamma0 (0.4 * 5e-324 rounds to 0, which exits 3), and
+        g = 1 - 2**-53, where the curve is flat to rounding over thousands of points."""
+        codes = [
+            _assert_peak_matches_full_grid(gamma0, g)
+            for g in (5e-324, 1e-320, 1e-310, 1e-300, 1e-8, 1 - 1e-12, 1 - 2**-53)
+        ]
+        assert codes.count(EXIT_UNSUPPORTED) == (1 if gamma0 == 0.4 else 0)
 
 
 class TestExitCodes:

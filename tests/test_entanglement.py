@@ -15,7 +15,8 @@ from twoatom.entanglement import (
     spin_flip,
     wootters_lambdas,
 )
-from twoatom.propagator import asymptotic_state
+from twoatom.model import ModelParams, evolve_series
+from twoatom.propagator import asymptotic_state, evolve
 from twoatom.states import bell, bell_diagonal, mems, mes, product_state, purity, werner
 
 from conftest import (
@@ -249,3 +250,46 @@ class TestStackedMeasures:
         assert stack.shape == (11, 4, 4)
         for d, m in zip(deltas, stack):
             assert np.array_equal(m, mems(d))
+
+
+def _x_state_concurrence(stack):
+    """Concurrence of X states (nonzero entries on the diagonal and the
+    anti-diagonal only): 2 max(0, |r14| - sqrt(r22 r33), |r23| - sqrt(r11 r44)),
+    Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007).  No eigen- or SVD solver."""
+    p = np.maximum(np.diagonal(stack, axis1=-2, axis2=-1).real, 0.0)
+    outer = np.abs(stack[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2])
+    inner = np.abs(stack[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])
+    return 2.0 * np.maximum(0.0, np.maximum(outer, inner))
+
+
+_X_STARTS = {
+    "phi_plus": bell("phi_plus"),
+    "psi_plus": bell("psi_plus"),
+    "psi_minus": bell("psi_minus"),
+    "excited_ground": product_state(qmat.EXCITED, qmat.GROUND),
+    "werner": werner(0.7),
+    "bell_diagonal": bell_diagonal(0.6, 0.1, 0.2, 0.1),
+    "mems_0.4": mems(0.4),
+    "mems_0.9": mems(0.9),
+}
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+class TestXStateOracle:
+    """Collective decay keeps an X state an X state, so along every trajectory
+    from these starts the closed X-state formula is a second, solver-free
+    oracle for the Wootters concurrence."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.3, 0.99, 1.0])
+    @pytest.mark.parametrize("method", ["propagator", "rk4"])
+    def test_concurrence_matches_x_formula_along_trajectories(self, method, g):
+        params = ModelParams(1.3, g)
+        grid = np.linspace(0.0, 4.0, 81)
+        for name, rho in _X_STARTS.items():
+            if method == "rk4":
+                traj = evolve_series(rho, params, grid)
+            else:
+                traj = evolve(rho, params, grid)
+            assert np.abs(traj[:, _OFF_X]).max() <= 1e-15, name
+            expected = _x_state_concurrence(traj)
+            assert np.abs(concurrence(traj) - expected).max() <= 1e-12, name

@@ -198,6 +198,25 @@ class TestEvolveSeries:
         with pytest.raises(ValueError):
             evolve_series(rho, P_G1, [-1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ([np.nan], "nonnegative and finite, got t=nan"),
+            ([0.0, 1.0, np.inf], "nonnegative and finite, got t=inf"),
+            ([0.5, -1.0], "nonnegative and finite, got t=-1.0"),
+            ([0.0, 2.0, 1.0, 0.5], "strictly ascending, got t=1.0 after t=2.0"),
+            ([0.0, 1.0, 1.0], "strictly ascending, got t=1.0 after t=1.0"),
+        ],
+        ids=["nan", "inf", "negative", "descending", "repeated"],
+    )
+    def test_bad_time_names_it(self, grid, message):
+        rho = product_state(qmat.EXCITED, qmat.GROUND)
+        with pytest.raises(ParameterError, match=message):
+            evolve_series(rho, P_G1, grid)
+        if len(grid) == 1:
+            with pytest.raises(ParameterError, match=message):
+                integrate(rho, P_G1, grid[0])
+
 
 class TestSemigroupProperties:
     def test_composition(self):
