@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Golden comparison of CLI output between this source tree and another.
 
-    python scripts/golden_cli.py OTHER_TREE
+    python scripts/golden_cli.py OTHER_TREE [--atol X]
 
 Runs a fixed list of argv in process through ``twoatom.cli.main``, first
 from this tree's ``src/`` and then from ``OTHER_TREE/src``, and captures
@@ -11,7 +11,9 @@ stdout, stderr and the exit code of each call.  The list covers ``evolve``
 extreme rates included.  One line per call says whether the two trees
 gave byte-identical stdout, stderr and exit code, and the largest absolute
 difference between the numbers in their output.  Exits 1 if any call
-differs in any byte, 0 otherwise.
+differs in any byte, 0 otherwise.  With ``--atol X`` a call also passes
+(marked ``near``) when the exit codes are equal, stdout and stderr are
+equal once every number is masked, and each number differs by at most X.
 """
 
 from __future__ import annotations
@@ -144,9 +146,20 @@ def max_numeric_diff(a: str, b: str):
     return worst
 
 
+def same_text(mine, other) -> bool:
+    """Same exit code, and same stdout and stderr once their numbers are masked."""
+    return mine[0] == other[0] and all(
+        _NUMBER.sub("#", a) == _NUMBER.sub("#", b) for a, b in zip(mine[1:], other[1:])
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_tree", type=Path, help="root of the tree to compare with")
+    parser.add_argument(
+        "--atol", type=float, default=None,
+        help="also pass calls whose numbers differ by at most this (default: bytes only)",
+    )
     args = parser.parse_args(argv)
     other_src = args.other_tree / "src"
     if not (other_src / "twoatom" / "cli.py").is_file():
@@ -158,21 +171,28 @@ def main(argv=None) -> int:
         argvs = golden_argvs(state_dir)
         ours = run_tree(THIS_TREE / "src", argvs)
         theirs = run_tree(other_src, argvs)
-    differ, worst = 0, 0.0
+    differ, near, worst = 0, 0, 0.0
     for argv, mine, other in zip(argvs, ours, theirs):
-        same = mine == other
-        differ += not same
         diff = max_numeric_diff(mine[1] + mine[2], other[1] + other[2])
+        if mine == other:
+            status = "same"
+        elif args.atol is not None and same_text(mine, other) and diff <= args.atol:
+            status = "near"
+        else:
+            status = "DIFF"
+        differ += status == "DIFF"
+        near += status == "near"
         worst = math.inf if diff is None else max(worst, diff)
         shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
         print(
-            f"{'same' if same else 'DIFF'}  exit {mine[0]}/{other[0]}  "
+            f"{status}  exit {mine[0]}/{other[0]}  "
             f"max|diff| {'n/a' if diff is None else f'{diff:.3g}'}  {' '.join(shown)}"
         )
     ok = sum(code == 0 for code, _, _ in ours)
+    tolerance = "" if args.atol is None else f", {near} within atol {args.atol:g}"
     print(
-        f"{len(argvs)} calls ({ok} exit 0 here), {len(argvs) - differ} byte-identical, "
-        f"{differ} differ; largest numeric difference {worst:.3g}"
+        f"{len(argvs)} calls ({ok} exit 0 here), {len(argvs) - differ - near} byte-identical"
+        f"{tolerance}, {differ} differ; largest numeric difference {worst:.3g}"
     )
     return 1 if differ else 0
 

@@ -135,11 +135,21 @@ def _check_positivity(traj: np.ndarray, t_grid: np.ndarray) -> None:
     """Raise at the first time whose state has an eigenvalue below -qmat.TOL_STRUCTURAL.
 
     That is the slack the entanglement measures accept, so a trajectory that
-    passes here can be measured.
+    passes here can be measured.  A finite trajectory whose every state
+    shifted by TOL_STRUCTURAL * I has a Cholesky factor passes at once: the
+    shift is positive definite exactly when the minimum eigenvalue exceeds
+    -TOL_STRUCTURAL, up to rounding at the threshold.  Otherwise the
+    eigenvalue scan decides and names the first bad time.
     """
     herm = 0.5 * (traj + traj.conj().swapaxes(-1, -2))
-    min_eig = np.full(len(traj), np.nan)
     finite = np.isfinite(herm).all(axis=(-2, -1))
+    if finite.all():
+        try:
+            np.linalg.cholesky(herm + qmat.TOL_STRUCTURAL * qmat.IDENTITY_4)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    min_eig = np.full(len(traj), np.nan)
     min_eig[finite] = np.linalg.eigvalsh(herm[finite])[:, 0]
     bad = np.flatnonzero(~(min_eig >= -qmat.TOL_STRUCTURAL))
     if bad.size:

@@ -104,14 +104,16 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndar
     defect = _hermiticity_defect(m)
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return np.linalg.eigvalsh(0.5 * (m + dag(m)))[::-1]
+    return np.linalg.eigvalsh(0.5 * (m + dag(m)))[..., ::-1]
 
 
-def sqrt_psd(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix, or of each in a stack.
+def _psd_eigh(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a PSD matrix, or of each in a stack.
 
-    Eigenvalues in [-tol, 0) are clamped to zero (floating-point noise on
-    PSD matrices); anything below -tol raises ``NotPSDError``.
+    ``w`` is ascending with eigenvalues in [-tol, 0) clamped to zero, and
+    ``v`` holds the eigenvectors as columns.  Raises ``NotHermitianError``
+    for a hermiticity defect above ``tol`` and ``NotPSDError`` for an
+    eigenvalue below -tol.
     """
     m = np.asarray(m, dtype=complex)
     defect = _hermiticity_defect(m)
@@ -121,7 +123,16 @@ def sqrt_psd(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
     min_eig = w[..., 0].min()
     if min_eig < -tol:
         raise NotPSDError(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
-    w = np.where(w < 0.0, 0.0, w)
+    return np.where(w < 0.0, 0.0, w), v
+
+
+def sqrt_psd(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix, or of each in a stack.
+
+    Eigenvalues in [-tol, 0) are clamped to zero (floating-point noise on
+    PSD matrices); anything below -tol raises ``NotPSDError``.
+    """
+    w, v = _psd_eigh(m, tol)
     s = (v * np.sqrt(w)[..., None, :]) @ dag(v)
     return 0.5 * (s + dag(s))
 

@@ -252,6 +252,50 @@ class TestStackedMeasures:
             assert np.array_equal(m, mems(d))
 
 
+def _sandwich_lambdas(rho):
+    """Wootters' lambdas as the singular values of the sandwich
+    sqrt(rho) (s2 x s2) conj(sqrt(rho)), with sqrt(rho) from a clamped
+    eigendecomposition and s2 x s2 as a 4x4 matrix."""
+    h = 0.5 * (rho + qmat.dag(rho))
+    w, v = np.linalg.eigh(h)
+    s = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ qmat.dag(v)
+    s = 0.5 * (s + qmat.dag(s))
+    flip = qmat.kron(qmat.SIGMA_2, qmat.SIGMA_2)
+    return np.linalg.svd(s @ flip @ s.conj(), compute_uv=False)
+
+
+def _rank_k_state(rng, k):
+    a = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
+    rho = a @ qmat.dag(a)
+    return rho / np.trace(rho).real
+
+
+class TestTauForm:
+    """wootters_lambdas (the tau form) agrees with the sqrt(rho) sandwich."""
+
+    def test_matches_sandwich_on_mixed_and_low_rank_states(self):
+        rng = np.random.default_rng(83)
+        low_rank = [_rank_k_state(rng, k) for k in (1, 2) for _ in range(200)]
+        stack = np.array(random_states(83, 200) + low_rank)
+        assert np.abs(wootters_lambdas(stack) - _sandwich_lambdas(stack)).max() <= 1e-14
+
+    def test_matches_sandwich_on_a_stack(self, rng):
+        pure = [random_pure_state(rng) for _ in range(6)]
+        stack = np.array(random_states(85, 12) + pure).reshape(3, 6, 4, 4)
+        lam = wootters_lambdas(stack)
+        assert lam.shape == (3, 6, 4)
+        assert np.abs(lam - _sandwich_lambdas(stack)).max() <= 1e-14
+
+    def test_pure_product_states_cancel_to_zero(self):
+        """A true-zero lambda can come out near 1e-8 in either form, but the
+        difference l1 - l2 - l3 - l4 of a product state still cancels."""
+        rng = np.random.default_rng(84)
+        stack = np.array(
+            [product_state(random_qubit_vector(rng), random_qubit_vector(rng)) for _ in range(500)]
+        )
+        assert concurrence(stack).max() <= 1e-14
+
+
 def _x_state_concurrence(stack):
     """Concurrence of X states (nonzero entries on the diagonal and the
     anti-diagonal only): 2 max(0, |r14| - sqrt(r22 r33), |r23| - sqrt(r11 r44)),

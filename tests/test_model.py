@@ -6,6 +6,7 @@ from twoatom.model import (
     ModelParams,
     ParameterError,
     StepTooLargeError,
+    _check_positivity,
     evolve_series,
     integrate,
     lindblad_rhs,
@@ -135,6 +136,55 @@ class TestIntegrate:
         rho = qmat.random_density_matrix(rng)
         with pytest.raises(StepTooLargeError, match=r"^state at t=5 has minimum eigenvalue"):
             evolve_series(rho, P_G1, [0.0, 5.0, 10.0], step=5.0)
+
+
+class TestPositivityGuard:
+    """The guard on a trajectory-shaped stack, at either side of the slack."""
+
+    T_GRID = np.linspace(0.0, 2.0, 9)
+
+    def _stack(self, min_eig, at=5):
+        """Seeded full-rank states, the one at index ``at`` with its smallest
+        eigenvalue set to ``min_eig`` (trace kept at one)."""
+        stack = np.array(random_states(71, len(self.T_GRID)))
+        g = np.random.default_rng(72)
+        v, _ = np.linalg.qr(g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4)))
+        w = np.array([0.5, 0.3, 0.2 - min_eig, min_eig])
+        stack[at] = (v * w) @ qmat.dag(v)
+        return stack
+
+    def test_accepts_just_inside_the_slack(self):
+        _check_positivity(self._stack(-qmat.TOL_STRUCTURAL * (1 - 1e-3)), self.T_GRID)
+
+    def test_accepts_without_eigenvalue_scan(self, monkeypatch):
+        """A trajectory inside the slack passes on the Cholesky factor alone."""
+        stack = self._stack(-qmat.TOL_STRUCTURAL * (1 - 1e-3))
+
+        def scan(*args, **kwargs):
+            raise AssertionError("eigenvalue scan ran on a valid trajectory")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", scan)
+        _check_positivity(stack, self.T_GRID)
+
+    def test_rejects_just_outside_naming_the_time(self):
+        stack = self._stack(-qmat.TOL_STRUCTURAL * (1 + 1e-3))
+        message = rf"^state at t={self.T_GRID[5]:g} has minimum eigenvalue -1.001e-09;"
+        with pytest.raises(StepTooLargeError, match=message):
+            _check_positivity(stack, self.T_GRID)
+
+    def test_first_of_several_bad_times(self):
+        stack = self._stack(-1e-3, at=7)
+        stack[3] = np.diag([1.0, 1e-6, 0.0, -1e-6])
+        message = rf"^state at t={self.T_GRID[3]:g} has minimum eigenvalue -1.000e-06;"
+        with pytest.raises(StepTooLargeError, match=message):
+            _check_positivity(stack, self.T_GRID)
+
+    def test_nan_state_raises(self):
+        stack = self._stack(0.0)
+        stack[2, 1, 1] = np.nan
+        message = rf"^state at t={self.T_GRID[2]:g} has minimum eigenvalue nan;"
+        with pytest.raises(StepTooLargeError, match=message):
+            _check_positivity(stack, self.T_GRID)
 
 
 def _rk4_loop(rho, params, t_grid, step):

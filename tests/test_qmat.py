@@ -16,7 +16,7 @@ from twoatom.qmat import (
     validate_state,
 )
 
-from conftest import random_states
+from conftest import random_pure_state, random_states
 
 I2 = qmat.IDENTITY_2
 I4 = qmat.IDENTITY_4
@@ -147,6 +147,11 @@ class TestHermitianEigenvalues:
         for rho in random_states(23, 20):
             assert abs(hermitian_eigenvalues(rho).sum() - 1.0) < 1e-9
 
+    def test_stack_sorts_each_spectrum(self):
+        stack = np.array([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([5.0, 6.0, 7.0, 8.0])])
+        w = hermitian_eigenvalues(stack.astype(complex))
+        assert np.allclose(w, [[4, 3, 2, 1], [8, 7, 6, 5]], atol=1e-12)
+
 
 class TestSqrtPsd:
     def test_identity(self):
@@ -175,8 +180,25 @@ class TestSqrtPsd:
         assert np.abs(s - s.conj().T).max() < 1e-12
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -5.000e-01 below -1.0e-09$"):
             sqrt_psd(np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex))
+
+    def test_rejects_non_hermitian(self):
+        m = I4.copy()
+        m[0, 1] = 1.0
+        message = r"^hermiticity defect 1.000e\+00 exceeds 1.0e-09$"
+        with pytest.raises(NotHermitianError, match=message):
+            sqrt_psd(m)
+
+    def test_matches_direct_eigendecomposition_bitwise(self, rng):
+        """The shared PSD eigendecomposition leaves sqrt_psd's arithmetic as
+        it was: clamp, scale the eigenvectors, multiply, symmetrize."""
+        noisy = np.diag([0.5, 0.5, 0.0, -1e-12]).astype(complex)
+        stack = np.array(random_states(31, 5) + [random_pure_state(rng), noisy])
+        h = 0.5 * (stack + qmat.dag(stack))
+        w, v = np.linalg.eigh(h)
+        s = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ qmat.dag(v)
+        assert np.array_equal(sqrt_psd(stack), 0.5 * (s + qmat.dag(s)))
 
 
 class TestValidateState:
