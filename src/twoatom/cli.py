@@ -9,8 +9,8 @@ figure       canonical curve files fig1 / fig2 / fig3
 peak         transient-entanglement peak (time, height) for g < 1
 
 Exit codes: 0 success, 2 invalid input state, 3 unsupported parameter
-combination or parameter out of range, 4 numerical failure (the RK4 step
-is too large for the rates, or an eigensolver did not converge).
+combination or parameter out of range, 4 numerical failure (RK4 step too
+large for the rates, eigensolver not converged, computed state not PSD).
 """
 
 from __future__ import annotations
@@ -326,7 +326,8 @@ def main(argv=None) -> int:
     except (ParameterError, propagator.DegenerateRatesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (StepTooLargeError, np.linalg.LinAlgError) as exc:
+    except (StepTooLargeError, np.linalg.LinAlgError,
+            qmat.NotPSDError, qmat.NotHermitianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -82,9 +82,7 @@ def mes_asymptotic_concurrence(a: float, theta1: float, theta2: float) -> float:
 
 def is_ppt_separable(rho: np.ndarray, tol: float = qmat.TOL_STRUCTURAL) -> bool:
     """Exact 2x2 separability: is the partial transpose still a state?"""
-    pt = qmat.partial_transpose_a(rho)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))[0])
-    return min_eig >= -tol
+    return bool(qmat.state_health(qmat.partial_transpose_a(rho))[2][0] >= -tol)
 
 
 def entropy_of_entanglement(rho: np.ndarray, purity_tol: float = 1e-9) -> float:
@@ -99,7 +97,6 @@ def entropy_of_entanglement(rho: np.ndarray, purity_tol: float = 1e-9) -> float:
     if pur < 1.0 - purity_tol:
         raise NotPureError(f"tr(rho^2) = {pur:.12f} below purity threshold")
     reduced = qmat.partial_trace(rho, "A")
-    p = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
-    p = np.clip(p.real, 0.0, 1.0)
+    p = np.clip(qmat.hermitian_eigenvalues(reduced), 0.0, 1.0)
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())

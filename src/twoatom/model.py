@@ -138,19 +138,16 @@ def _check_positivity(traj: np.ndarray, t_grid: np.ndarray) -> None:
     passes here can be measured.  A finite trajectory whose every state
     shifted by TOL_STRUCTURAL * I has a Cholesky factor passes at once: the
     shift is positive definite exactly when the minimum eigenvalue exceeds
-    -TOL_STRUCTURAL, up to rounding at the threshold.  Otherwise the
-    eigenvalue scan decides and names the first bad time.
+    -TOL_STRUCTURAL, up to rounding at the threshold (it reads the lower
+    triangle only).  Otherwise the spectra of qmat.state_health name the first bad time.
     """
-    herm = 0.5 * (traj + traj.conj().swapaxes(-1, -2))
-    finite = np.isfinite(herm).all(axis=(-2, -1))
-    if finite.all():
+    if np.isfinite(traj).all():
         try:
-            np.linalg.cholesky(herm + qmat.TOL_STRUCTURAL * qmat.IDENTITY_4)
+            np.linalg.cholesky(traj + qmat.TOL_STRUCTURAL * qmat.IDENTITY_4)
             return
         except np.linalg.LinAlgError:
             pass
-    min_eig = np.full(len(traj), np.nan)
-    min_eig[finite] = np.linalg.eigvalsh(herm[finite])[:, 0]
+    min_eig = qmat.state_health(traj)[2][:, 0]
     bad = np.flatnonzero(~(min_eig >= -qmat.TOL_STRUCTURAL))
     if bad.size:
         i = bad[0]

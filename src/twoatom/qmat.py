@@ -47,13 +47,13 @@ class NotPSDError(ValueError):
 class InvalidStateError(ValueError):
     """A matrix failed the density-matrix invariants.
 
-    ``violations`` maps each failed invariant name (``"hermiticity"``,
-    ``"trace"``, ``"positivity"``) to the measured violation magnitude.
+    ``violations`` maps each failed invariant name (``"hermiticity"``, ``"trace"``,
+    ``"positivity"``) to its magnitude; a ``detail`` text replaces them in the message.
     """
 
-    def __init__(self, violations: dict[str, float]):
+    def __init__(self, violations: dict[str, float], detail: str | None = None):
         self.violations = violations
-        detail = ", ".join(f"{k}={v:.3e}" for k, v in violations.items())
+        detail = detail or ", ".join(f"{k}={v:.3e}" for k, v in violations.items())
         super().__init__(f"not a valid density matrix: {detail}")
 
 
@@ -91,8 +91,14 @@ def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
     return r.transpose(2, 1, 0, 3).reshape(4, 4)
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - dag(m)).max())
+def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
+    """Hermitian part of ``m``; ``NotHermitianError`` unless its defect is at most ``tol``."""
+    m = np.asarray(m, dtype=complex)
+    h = dag(m)
+    defect = abs(m - h).max()
+    if not defect <= tol:
+        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    return 0.5 * (m + h)
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
@@ -100,11 +106,7 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndar
 
     Raises ``NotHermitianError`` if ``m`` is not Hermitian within ``tol``.
     """
-    m = np.asarray(m, dtype=complex)
-    defect = _hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return np.linalg.eigvalsh(0.5 * (m + dag(m)))[..., ::-1]
+    return np.linalg.eigvalsh(_hermitian_part(m, tol))[..., ::-1]
 
 
 def _psd_eigh(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> tuple[np.ndarray, np.ndarray]:
@@ -115,11 +117,7 @@ def _psd_eigh(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> tuple[np.ndarray, n
     for a hermiticity defect above ``tol`` and ``NotPSDError`` for an
     eigenvalue below -tol.
     """
-    m = np.asarray(m, dtype=complex)
-    defect = _hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    w, v = np.linalg.eigh(0.5 * (m + dag(m)))
+    w, v = np.linalg.eigh(_hermitian_part(m, tol))
     min_eig = w[..., 0].min()
     if min_eig < -tol:
         raise NotPSDError(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
@@ -137,26 +135,40 @@ def sqrt_psd(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
     return 0.5 * (s + dag(s))
 
 
+def state_health(m: np.ndarray) -> tuple:
+    """Per state: hermiticity defect max|m - m^H|, trace defect |tr m - 1| and
+    the ascending spectrum of the Hermitian part, of shapes S, S and S + (4,)
+    for a stack of shape S + (4, 4).  A state with a non-finite entry reads
+    NaN in all three, with no arithmetic on it.
+    """
+    m = np.asarray(m, dtype=complex)
+    finite = np.isfinite(m)
+    if np.count_nonzero(finite) < finite.size:
+        finite = finite.all(axis=(-2, -1))
+        defect, trace, spectrum = state_health(np.where(finite[..., None, None], m, 0.0))
+        spectrum[~finite] = np.nan
+        return np.where(finite, defect, np.nan), np.where(finite, trace, np.nan), spectrum
+    h = dag(m)
+    spectrum = np.linalg.eigvalsh(0.5 * (m + h))
+    return abs(m - h).max((-2, -1)), abs(m.trace(0, -2, -1) - 1.0), spectrum
+
+
 def validate_state(m: np.ndarray, atol: float = TOL_STRUCTURAL) -> np.ndarray:
     """Check the three density-matrix invariants and return the matrix.
 
-    Raises ``InvalidStateError`` listing every violated invariant
-    (hermiticity, unit trace, positivity) with its magnitude.
+    Raises ``InvalidStateError`` naming every violated invariant (hermiticity,
+    unit trace, positivity) with its magnitude, or the non-finite entries.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidStateError({"shape": float(m.size)})
-    violations: dict[str, float] = {}
-    defect = _hermiticity_defect(m)
-    if defect > atol:
-        violations["hermiticity"] = defect
-    trace_defect = abs(np.trace(m) - 1.0)
-    if trace_defect > atol:
-        violations["trace"] = float(trace_defect)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + dag(m)))[0])
-    if min_eig < -atol:
-        violations["positivity"] = -min_eig
+    defect, trace_defect, spectrum = state_health(m)
+    measured = {"hermiticity": defect, "trace": trace_defect, "positivity": -spectrum[0]}
+    violations = {k: float(v) for k, v in measured.items() if not v <= atol}
     if violations:
+        if np.isnan(defect):
+            bad = ", ".join(f"rho{i // 4 + 1}{i % 4 + 1}" for i in np.flatnonzero(~np.isfinite(m)))
+            raise InvalidStateError(violations, f"non-finite entries {bad}")
         raise InvalidStateError(violations)
     return m
 

@@ -40,13 +40,13 @@ class StateFileError(ValueError):
 _KET = {"excited": qmat.EXCITED, "ground": qmat.GROUND}
 
 
-def _vector(pairs, name: str) -> np.ndarray:
+def _complexes(pairs, n: int, name: str) -> np.ndarray:
     try:
-        v = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
-        raise StateFileError(f"{name} must be a list of [re, im] pairs") from exc
-    if v.shape != (2,):
-        raise StateFileError(f"{name} must have exactly 2 components")
+        v = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateFileError(f"{name} must be a list of [re, im] pairs: {exc}") from exc
+    if v.shape != (n,):
+        raise StateFileError(f"{name} must list {n} [re, im] pairs")
     return v
 
 
@@ -54,7 +54,7 @@ def _from_family(family: str, params: dict) -> np.ndarray:
     try:
         if family == "product":
             return states.product_state(
-                _vector(params["psi"], "psi"), _vector(params["phi"], "phi")
+                _complexes(params["psi"], 2, "psi"), _complexes(params["phi"], 2, "phi")
             )
         if family == "bell":
             return states.bell(params["which"])
@@ -76,7 +76,7 @@ def _from_family(family: str, params: dict) -> np.ndarray:
             return states.product_state(ka, kb)
     except KeyError as exc:
         raise StateFileError(f"family {family!r} is missing parameter {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, StateFileError):
             raise
         raise StateFileError(f"bad parameters for family {family!r}: {exc}") from exc
@@ -88,14 +88,7 @@ def parse_state(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise StateFileError("state file must be a JSON object")
     if "entries" in obj:
-        entries = obj["entries"]
-        if not isinstance(entries, list) or len(entries) != 16:
-            raise StateFileError("'entries' must list 16 [re, im] pairs, row-major")
-        try:
-            flat = [complex(re, im) for re, im in entries]
-        except (TypeError, ValueError) as exc:
-            raise StateFileError("'entries' must list 16 [re, im] pairs") from exc
-        rho = np.array(flat, dtype=complex).reshape(4, 4)
+        rho = _complexes(obj["entries"], 16, "'entries'").reshape(4, 4)
     elif "family" in obj:
         rho = _from_family(obj["family"], obj.get("params", {}))
     else:

@@ -20,7 +20,7 @@ class InvalidWeightsError(ValueError):
 def _check_normalized(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(2)
     norm2 = float(np.vdot(v, v).real)
-    if abs(norm2 - 1.0) > 1e-12:
+    if not abs(norm2 - 1.0) <= 1e-12:
         raise ValueError(f"{name} must be normalized, |{name}|^2 = {norm2!r}")
     return v
 
@@ -64,8 +64,8 @@ def mes(a: float, theta1: float, theta2: float) -> np.ndarray:
     in radians; a = 0, theta1 = theta2 = 0 reduces to the symmetric Bell
     state psi_plus.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a must lie in [0, 1], got {a}")
+    if not (0.0 <= a <= 1.0 and abs(theta1) < np.inf and abs(theta2) < np.inf):
+        raise ValueError(f"need a in [0, 1] and finite phases, got {a=}, {theta1=}, {theta2=}")
     b = np.sqrt(1.0 - a * a)
     half_a2 = 0.5 * a * a
     half_b2 = 0.5 * b * b
@@ -92,7 +92,7 @@ def mes(a: float, theta1: float, theta2: float) -> np.ndarray:
 def bell_diagonal(p1: float, p2: float, p3: float, p4: float) -> np.ndarray:
     """Convex mixture p1 phi+ + p2 phi- + p3 psi+ + p4 psi-."""
     p = np.array([p1, p2, p3, p4], dtype=float)
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
+    if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
         raise InvalidWeightsError(f"weights must be a probability vector, got {p.tolist()}")
     rho = np.zeros((4, 4), dtype=complex)
     for w, name in zip(p, BELL_NAMES):

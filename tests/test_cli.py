@@ -31,6 +31,21 @@ def _read_csv(path):
     return header, cols
 
 
+_HUGE_INT = "1" + "0" * 400
+
+
+def _with_literal(obj, literal):
+    """JSON text of ``obj`` with the string "X" written as the bare token ``literal``."""
+    return json.dumps(obj).replace('"X"', literal)
+
+
+def _entries_text(literal):
+    """The maximally mixed state as entries, the real part of rho22 written as ``literal``."""
+    pairs = [[0.25 * (i % 5 == 0), 0.0] for i in range(16)]
+    pairs[5][0] = "X"
+    return _with_literal({"entries": pairs}, literal)
+
+
 @pytest.fixture
 def eg_state(tmp_path):
     return _write_state(
@@ -411,6 +426,70 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "shrink the step" in err
 
+    @pytest.mark.parametrize(
+        "defect,message",
+        [("psd", "minimum eigenvalue -1.001e-09 below -1.0e-09"),
+         ("hermiticity", "hermiticity defect 1.000e-03 exceeds 1.0e-09")],
+        ids=["psd", "hermiticity"],
+    )
+    def test_measure_rejecting_a_computed_state_exits_4(
+        self, eg_state, capsys, monkeypatch, defect, message
+    ):
+        """A trajectory that the PSD or hermiticity check of concurrence
+        rejects: one error line and exit 4, not a traceback."""
+        bad = np.diag([0.5, 0.3, 0.2 + 1.001e-9, -1.001e-9]).astype(complex)
+        if defect == "hermiticity":
+            bad = np.diag([0.25] * 4).astype(complex)
+            bad[0, 1] = 1e-3
+        monkeypatch.setattr(
+            "twoatom.cli.evolve_series", lambda rho0, params, grid, step: np.array([bad] * len(grid))
+        )
+        rc = main(["evolve", "--state", eg_state, "--samples", "3"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [["asymptotic"], ["concurrence"], ["evolve", "--samples", "3"]],
+                             ids=["asymptotic", "concurrence", "evolve-rk4"])
+    @pytest.mark.parametrize(
+        "text,detail",
+        [
+            (_entries_text("NaN"), "non-finite entries rho22"),
+            (_entries_text("Infinity"), "non-finite entries rho22"),
+            (_entries_text("1e400"), "non-finite entries rho22"),
+            (_with_literal({"family": "product", "params": {"psi": [["X", 0], [0, 0]],
+                                                            "phi": [[1, 0], [0, 0]]}}, "NaN"),
+             "psi must be normalized"),
+            (_with_literal({"family": "bell_diagonal", "params": {"p": ["X", 0.5, 0.5, 0]}}, "NaN"),
+             "probability vector"),
+            (_with_literal({"family": "mes", "params": {"a": 0.3, "theta1": "X", "theta2": 0}}, "NaN"),
+             "finite phases"),
+            (_entries_text(_HUGE_INT), "int too large to convert to float"),
+            (_with_literal({"family": "product", "params": {"psi": [["X", 0], [0, 0]],
+                                                            "phi": [[1, 0], [0, 0]]}}, _HUGE_INT),
+             "int too large to convert to float"),
+            (_with_literal({"family": "mes", "params": {"a": 0.3, "theta1": "X", "theta2": 0}},
+                           _HUGE_INT), "int too large to convert to float"),
+            (_with_literal({"family": "bell_diagonal", "params": {"p": ["X", 0.5, 0.5, 0]}},
+                           _HUGE_INT), "int too large to convert to float"),
+            (_with_literal({"family": "mems", "params": {"delta": "X"}}, _HUGE_INT),
+             "int too large to convert to float"),
+        ],
+        ids=["entries-nan", "entries-infinity", "entries-1e400", "product-psi-nan",
+             "bell-diagonal-p-nan", "mes-theta1-nan", "entries-huge-int", "product-psi-huge-int",
+             "mes-theta1-huge-int", "bell-diagonal-p-huge-int", "mems-delta-huge-int"],
+    )
+    def test_out_of_range_numbers_in_state_file_exit_2(self, tmp_path, capsys, command, text, detail):
+        # RuntimeWarnings are errors in this suite, so a numpy warning fails here
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        rc = main(command + ["--state", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_BAD_STATE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and detail in err
+
     def test_unreadable_state_is_bad_state(self, tmp_path, capsys):
         assert main(["concurrence", "--state", str(tmp_path)]) == EXIT_BAD_STATE
         out, err = capsys.readouterr()
@@ -495,18 +574,22 @@ _COMMANDS = {
 _PROBE = ["figure", "fig1", "--samples", "4"]
 
 
+_FUZZ_STATES = [
+    json.dumps({"family": "basis", "params": {"a": "excited", "b": "ground"}}),
+    json.dumps({"family": "bell", "params": {"which": "psi_minus"}}),
+    json.dumps({"family": "werner", "params": {"p": 0.7}}),
+    _entries_text("0.25"),
+    json.dumps({"family": "mes", "params": {"a": 0.3, "theta1": 0, "theta2": 0}}),
+    _entries_text("NaN"),
+    _entries_text("1e400"),
+]
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz")
-    states = [
-        {"family": "basis", "params": {"a": "excited", "b": "ground"}},
-        {"family": "bell", "params": {"which": "psi_minus"}},
-        {"family": "werner", "params": {"p": 0.7}},
-        {"entries": [[0.25 * (i % 5 == 0), 0.0] for i in range(16)]},
-        {"family": "mes", "params": {"a": 0.3, "theta1": 0, "theta2": 0}},
-    ]
-    for i, obj in enumerate(states):
-        (base / f"state{i}.json").write_text(json.dumps(obj))
+    for i, text in enumerate(_FUZZ_STATES):
+        (base / f"state{i}.json").write_text(text)
     return base
 
 
@@ -535,7 +618,7 @@ def _argv(draw, base):
         elif flag == "--with-rho":
             argv.append(flag)
         elif flag == "--state":
-            names = [f"state{i}.json" for i in range(5)] + ["missing.json", "."]
+            names = [f"state{i}.json" for i in range(len(_FUZZ_STATES))] + ["missing.json", "."]
             state = draw(st.one_of(st.sampled_from(names).map(lambda n: str(base / n)),
                                    st.just("random"), _JUNK))
             argv.append(f"--state={state}")

@@ -13,6 +13,7 @@ from twoatom.qmat import (
     partial_trace,
     partial_transpose_a,
     sqrt_psd,
+    state_health,
     validate_state,
 )
 
@@ -147,6 +148,12 @@ class TestHermitianEigenvalues:
         for rho in random_states(23, 20):
             assert abs(hermitian_eigenvalues(rho).sum() - 1.0) < 1e-9
 
+    def test_nan_is_not_hermitian(self):
+        m = I4.copy()
+        m[2, 2] = np.nan
+        with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
+            hermitian_eigenvalues(m)
+
     def test_stack_sorts_each_spectrum(self):
         stack = np.array([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([5.0, 6.0, 7.0, 8.0])])
         w = hermitian_eigenvalues(stack.astype(complex))
@@ -188,6 +195,12 @@ class TestSqrtPsd:
         m[0, 1] = 1.0
         message = r"^hermiticity defect 1.000e\+00 exceeds 1.0e-09$"
         with pytest.raises(NotHermitianError, match=message):
+            sqrt_psd(m)
+
+    def test_nan_is_not_hermitian(self):
+        m = I4 / 4
+        m[0, 3] = np.nan
+        with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
             sqrt_psd(m)
 
     def test_matches_direct_eigendecomposition_bitwise(self, rng):
@@ -232,3 +245,56 @@ class TestValidateState:
     def test_random_ensemble_is_valid(self):
         for rho in random_states(5, 20):
             validate_state(rho, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries_naming_them(self, bad):
+        m = (I4 / 4).copy()
+        m[0, 1] = bad
+        m[2, 2] = bad
+        with pytest.raises(InvalidStateError, match=r"^not a valid density matrix: "
+                           r"non-finite entries rho12, rho33$") as exc:
+            validate_state(m)
+        assert set(exc.value.violations) == {"hermiticity", "trace", "positivity"}
+        assert all(np.isnan(v) for v in exc.value.violations.values())
+
+
+class TestStateHealth:
+    def test_values(self):
+        # an anti-Hermitian pair that the Hermitian part drops
+        m = np.diag([0.5, 0.25, 0.5, -0.5]).astype(complex)
+        m[0, 1], m[1, 0] = 1e-3, -1e-3
+        defect, trace_defect, spectrum = state_health(m)
+        assert defect == 2e-3
+        assert trace_defect == 0.25
+        assert np.allclose(spectrum, [-0.5, 0.25, 0.5, 0.5], atol=1e-15)
+
+    def test_stack_shapes(self):
+        stack = np.array(random_states(41, 6)).reshape(2, 3, 4, 4)
+        defect, trace_defect, spectrum = state_health(stack)
+        assert defect.shape == trace_defect.shape == (2, 3)
+        assert spectrum.shape == (2, 3, 4)
+
+    @pytest.mark.parametrize("finite_only", [False, True])
+    def test_stack_matches_each_state_bitwise(self, finite_only):
+        """NaN and inf states read NaN in all three; every finite state
+        reads what it reads alone, bit for bit."""
+        stack = np.array(random_states(43, 5) + [I4 / 4, I4, np.diag([1.0, 0, 0, -1e-3])])
+        if not finite_only:
+            stack[1, 2, 3] = np.nan
+            stack[4, 0, 0] = np.inf
+        health = state_health(stack)
+        for i, state in enumerate(stack):
+            if not finite_only and i in (1, 4):
+                assert all(np.isnan(x[i]).all() for x in health)
+                continue
+            for whole, alone in zip(health, state_health(state)):
+                assert np.array_equal(whole[i], alone)
+                assert np.signbit(whole[i]).tolist() == np.signbit(alone).tolist()
+
+    def test_single_non_finite_state(self):
+        m = I4 / 4
+        m = m.copy()
+        m[3, 0] = -np.inf
+        defect, trace_defect, spectrum = state_health(m)
+        assert np.isnan(defect) and np.isnan(trace_defect) and np.isnan(spectrum).all()
+        assert spectrum.shape == (4,)

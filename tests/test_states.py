@@ -45,6 +45,13 @@ class TestProductState:
         with pytest.raises(ValueError):
             product_state(np.array([1.0, 1.0]), qmat.GROUND)
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="psi must be normalized"):
+            product_state(np.array([bad, 0.0]), qmat.GROUND)
+        with pytest.raises(ValueError, match="phi must be normalized"):
+            product_state(qmat.GROUND, np.array([0.6, bad]))
+
     def test_stationary_params_match_overlap_formula(self, rng):
         # alpha = (1 - |<psi, phi>|^2)/4, beta = (|phi2|^2 psi1 conj(psi2)
         #                                         - |psi2|^2 phi1 conj(phi2))/2
@@ -116,6 +123,12 @@ class TestMes:
         with pytest.raises(ValueError):
             mes(1.2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("args", [(np.nan, 0.0, 0.0), (0.3, np.nan, 0.0), (0.3, 0.0, np.nan),
+                                      (0.3, np.inf, 0.0), (0.3, 0.0, -np.inf)])
+    def test_rejects_non_finite_parameters(self, args):
+        with pytest.raises(ValueError, match=r"^need a in \[0, 1\] and finite phases"):
+            mes(*args)
+
 
 class TestBellDiagonal:
     def test_uniform_is_maximally_mixed(self):
@@ -146,6 +159,12 @@ class TestBellDiagonal:
             bell_diagonal(0.5, 0.5, 0.5, -0.5)
         with pytest.raises(InvalidWeightsError):
             bell_diagonal(0.3, 0.3, 0.3, 0.2)
+
+    @pytest.mark.parametrize("weights", [(np.nan, 0.5, 0.5, 0.0), (0.5, 0.5, 0.0, np.nan),
+                                         (np.nan,) * 4])
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(InvalidWeightsError):
+            bell_diagonal(*weights)
 
 
 class TestWerner:
