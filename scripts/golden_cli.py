@@ -8,12 +8,13 @@ from this tree's ``src/`` and then from ``OTHER_TREE/src``, and captures
 stdout, stderr and the exit code of each call.  The list covers ``evolve``
 (rk4 and closed-form, csv and json, with and without ``--with-rho``),
 ``figure fig1-fig3``, ``asymptotic``, ``concurrence`` and ``peak``,
-extreme rates included.  One line per call says whether the two trees
-gave byte-identical stdout, stderr and exit code, and the largest absolute
-difference between the numbers in their output.  Exits 1 if any call
-differs in any byte, 0 otherwise.  With ``--atol X`` a call also passes
-(marked ``near``) when the exit codes are equal, stdout and stderr are
-equal once every number is masked, and each number differs by at most X.
+extreme rates and closed-form calls at g near 0 and 1 included.  One line
+per call says whether the two trees gave byte-identical stdout, stderr and
+exit code, and the largest absolute difference between the numbers in
+their output.  Exits 1 if any call differs in any byte, 0 otherwise.
+With ``--atol X`` a call also passes (marked ``near``) when the exit codes
+are equal, stdout and stderr are equal once every number is masked, and
+each number differs by at most X.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ def golden_argvs(state_dir: Path) -> list[list[str]]:
         for name in ("excited_ground", "mes", "entries"):
             argvs.append(["evolve", "--state", paths[name]] + extra)
     argvs.append(["evolve", "--state", "random", "--seed", "7", "--method", "closed-form"])
+    # near-degenerate rates (the divided difference of propagator._fed) and
+    # rate-time products that overflow
+    for path in paths.values():
+        for g in ("1e-12", "0.999999999999"):
+            for extra in ([], ["--gamma0", "1e300"], ["--gamma0", "1e-300"], ["--t-max", "1e6"]):
+                argvs.append(
+                    ["evolve", "--state", path, "--g", g, "--method", "closed-form",
+                     "--with-rho", "--samples", "41"] + extra
+                )
     for which in ("fig1", "fig2", "fig3"):
         for fmt in ("csv", "json"):
             for gamma0, samples in (("1", "501"), ("0.7", "301")):

@@ -5,11 +5,10 @@ the superradiant jump S+ = (sA + sB)/sqrt2 at rate gamma0 + gamma and the
 subradiant jump S- = (sA - sB)/sqrt2 at rate gamma0 - gamma.  In the Dicke
 basis {|11>, |s>, |a>, |00>}, with |s> = (|10> + |01>)/sqrt2 and
 |a> = (|10> - |01>)/sqrt2, they are the two ladders |11> -> |s> -> |00> and
-|11> -> -|a> -> |00> (Ficek & Tanas, Phys. Rep. 372, 369 (2002)).  Every
-Dicke-basis matrix element then decays at a single rate, and four of them
-(|s><s|, |a><a|, |s><00|, |a><00|) are also fed by an element that decays
-at another rate; ten formulas give the upper triangle and hermiticity the
-rest (:func:`evolve`).
+|11> -> -|a> -> |00> (Ficek & Tanas, Phys. Rep. 372, 369 (2002)).  The
+levels decay at G = (2 gamma0, gamma0 + gamma, gamma0 - gamma, 0), each
+Dicke-basis element (i, j) at (G_i + G_j)/2, and |s><s|, |a><a|, |s><00|
+and |a><00| are also fed from above (:func:`evolve`).
 
 At g = 1 the subradiant ladder is frozen, so the state keeps its weight
 on |a> and its |a><00| coherence; the t -> infinity limit is the
@@ -27,7 +26,6 @@ import numpy as np
 
 from .model import ModelParams, ParameterError
 
-_LOWER = np.tril_indices(4, -1)
 _HALF_SQRT2 = np.sqrt(0.5)
 
 
@@ -76,37 +74,30 @@ def _fed(a: float, b: float, t: np.ndarray) -> np.ndarray:
 def evolve(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     """Exact state at time t >= 0 started from rho0 (any 4x4 density matrix).
 
-    An array ``t`` of shape S gives the states stacked to shape S + (4, 4);
-    a scalar ``t`` gives one 4x4 state.
+    Dicke element (i, j) decays at (G_i + G_j)/2, G = (2 gamma0, up, down, 0)
+    with up/down = gamma0 +- gamma; |11><11| feeds |s><s| at rate up and |a><a|
+    at down, |11><s| feeds |s><00| at up and |11><a| feeds |a><00| at -down.
+    An array ``t`` of shape S gives S + (4, 4) stacked states, a scalar one 4x4.
     """
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
     g0, up, down = params.gamma0, params.gamma0 + params.gamma, params.gamma0 - params.gamma
+    G = np.array([2.0 * g0, up, down, 0.0])
+    rate = 0.5 * (G[:, None] + G)
     r = _dicke(rho0)
-    out = np.empty(t.shape + (4, 4), dtype=complex)
-
-    def decay(rate):
-        return np.exp(-rate * t)
-
     # a rate times a large t may overflow to inf, whose exponential is 0
     with np.errstate(over="ignore"):
-        out[..., 0, 0] = r[0, 0] * decay(2.0 * g0)
-        out[..., 0, 1] = r[0, 1] * decay(g0 + 0.5 * up)
-        out[..., 0, 2] = r[0, 2] * decay(g0 + 0.5 * down)
-        e1 = decay(g0)
-        out[..., 0, 3] = r[0, 3] * e1
-        out[..., 1, 1] = r[1, 1] * decay(up) + up * r[0, 0] * _fed(up, 2.0 * g0, t)
-        out[..., 1, 2] = r[1, 2] * e1
-        out[..., 1, 3] = r[1, 3] * decay(0.5 * up) + up * r[0, 1] * _fed(0.5 * up, g0 + 0.5 * up, t)
-        out[..., 2, 2] = r[2, 2] * decay(down) + down * r[0, 0] * _fed(down, 2.0 * g0, t)
-        out[..., 2, 3] = (
-            r[2, 3] * decay(0.5 * down) - down * r[0, 2] * _fed(0.5 * down, g0 + 0.5 * down, t)
-        )
+        out = r * np.exp(-rate * t[..., None, None])
+        for (i, j), source, w in (((1, 1), (0, 0), up), ((2, 2), (0, 0), down),
+                                  ((1, 3), (0, 1), up), ((2, 3), (0, 2), -down)):
+            fed = w * r[source] * _fed(rate[i, j], rate[source], t)
+            out[..., i, j] += fed
+            if i != j:
+                out[..., j, i] += fed.conj()
     # |00> collects what the excited levels lose
     excited = r[0, 0] + r[1, 1] + r[2, 2]
     out[..., 3, 3] = r[3, 3] + (excited - (out[..., 0, 0] + out[..., 1, 1] + out[..., 2, 2]))
-    out[..., _LOWER[0], _LOWER[1]] = out[..., _LOWER[1], _LOWER[0]].conj()
     return _dicke(out)
 
 

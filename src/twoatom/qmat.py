@@ -95,10 +95,12 @@ def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
     """Hermitian part of ``m``; ``NotHermitianError`` unless its defect is at most ``tol``."""
     m = np.asarray(m, dtype=complex)
     h = dag(m)
-    defect = abs(m - h).max()
+    # inf - inf and overflow make the defect NaN or inf, which fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = abs(m - h).max()
     if not defect <= tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return 0.5 * (m + h)
+    return 0.5 * m + 0.5 * h
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
@@ -139,7 +141,8 @@ def state_health(m: np.ndarray) -> tuple:
     """Per state: hermiticity defect max|m - m^H|, trace defect |tr m - 1| and
     the ascending spectrum of the Hermitian part, of shapes S, S and S + (4,)
     for a stack of shape S + (4, 4).  A state with a non-finite entry reads
-    NaN in all three, with no arithmetic on it.
+    NaN in all three, with no arithmetic on it; entries near the float maximum
+    read an infinite defect or trace, with no warning (they are halved first).
     """
     m = np.asarray(m, dtype=complex)
     finite = np.isfinite(m)
@@ -148,9 +151,11 @@ def state_health(m: np.ndarray) -> tuple:
         defect, trace, spectrum = state_health(np.where(finite[..., None, None], m, 0.0))
         spectrum[~finite] = np.nan
         return np.where(finite, defect, np.nan), np.where(finite, trace, np.nan), spectrum
-    h = dag(m)
-    spectrum = np.linalg.eigvalsh(0.5 * (m + h))
-    return abs(m - h).max((-2, -1)), abs(m.trace(0, -2, -1) - 1.0), spectrum
+    half = 0.5 * m
+    h = dag(half)
+    with np.errstate(over="ignore"):
+        spectrum = np.linalg.eigvalsh(half + h)
+        return 2.0 * abs(half - h).max((-2, -1)), abs(m.trace(0, -2, -1) - 1.0), spectrum
 
 
 def validate_state(m: np.ndarray, atol: float = TOL_STRUCTURAL) -> np.ndarray:

@@ -46,6 +46,15 @@ def _entries_text(literal):
     return _with_literal({"entries": pairs}, literal)
 
 
+def _entries_near_max(places):
+    """The maximally mixed state as entries, the real part at each flat index
+    in ``places`` set to its value there."""
+    pairs = [[0.25 * (i % 5 == 0), 0.0] for i in range(16)]
+    for i, value in places.items():
+        pairs[i][0] = value
+    return json.dumps({"entries": pairs})
+
+
 @pytest.fixture
 def eg_state(tmp_path):
     return _write_state(
@@ -475,10 +484,13 @@ class TestExitCodes:
                            _HUGE_INT), "int too large to convert to float"),
             (_with_literal({"family": "mems", "params": {"delta": "X"}}, _HUGE_INT),
              "int too large to convert to float"),
+            (_entries_near_max({1: 1e308, 4: -1e308}), "hermiticity=inf"),
+            (_entries_near_max({0: 1e308, 5: 1e308}), "trace=inf"),
         ],
         ids=["entries-nan", "entries-infinity", "entries-1e400", "product-psi-nan",
              "bell-diagonal-p-nan", "mes-theta1-nan", "entries-huge-int", "product-psi-huge-int",
-             "mes-theta1-huge-int", "bell-diagonal-p-huge-int", "mems-delta-huge-int"],
+             "mes-theta1-huge-int", "bell-diagonal-p-huge-int", "mems-delta-huge-int",
+             "entries-antihermitian-1e308", "entries-diagonal-1e308"],
     )
     def test_out_of_range_numbers_in_state_file_exit_2(self, tmp_path, capsys, command, text, detail):
         # RuntimeWarnings are errors in this suite, so a numpy warning fails here

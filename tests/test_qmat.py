@@ -149,10 +149,12 @@ class TestHermitianEigenvalues:
             assert abs(hermitian_eigenvalues(rho).sum() - 1.0) < 1e-9
 
     def test_nan_is_not_hermitian(self):
-        m = I4.copy()
-        m[2, 2] = np.nan
-        with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
-            hermitian_eigenvalues(m)
+        # an infinite diagonal entry, inf - inf, reads NaN too, with no warning
+        for bad in (np.nan, np.inf):
+            m = I4.copy()
+            m[2, 2] = bad
+            with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
+                hermitian_eigenvalues(m)
 
     def test_stack_sorts_each_spectrum(self):
         stack = np.array([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([5.0, 6.0, 7.0, 8.0])])
@@ -198,10 +200,11 @@ class TestSqrtPsd:
             sqrt_psd(m)
 
     def test_nan_is_not_hermitian(self):
-        m = I4 / 4
-        m[0, 3] = np.nan
-        with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
-            sqrt_psd(m)
+        for place, bad in (((0, 3), np.nan), ((1, 1), np.inf)):
+            m = I4 / 4
+            m[place] = bad
+            with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
+                sqrt_psd(m)
 
     def test_matches_direct_eigendecomposition_bitwise(self, rng):
         """The shared PSD eigendecomposition leaves sqrt_psd's arithmetic as
