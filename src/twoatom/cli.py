@@ -10,7 +10,9 @@ peak         transient-entanglement peak (time, height) for g < 1
 
 Exit codes: 0 success, 2 invalid input state, 3 unsupported parameter
 combination or parameter out of range, 4 numerical failure (RK4 step too
-large for the rates, eigensolver not converged, computed state not PSD).
+large for the rates, eigensolver not converged, computed state not PSD),
+5 output closed by its reader before it was written (a broken pipe, as
+in ``twoatom evolve ... | head -1``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -37,6 +40,7 @@ EXIT_OK = 0
 EXIT_BAD_STATE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 5
 
 def _load_state(source: str, seed) -> np.ndarray:
     if source == "random":
@@ -96,28 +100,18 @@ def cmd_evolve(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     rho0 = _load_state(args.state, args.seed)
-    # the stationary state does not depend on gamma0
-    params = ModelParams(gamma0=1.0, g=args.g)
-    if params.g == 1.0:
+    # the stationary state does not depend on gamma0; asymptotic_state checks g
+    rho_as = propagator.asymptotic_state(rho0, args.g)
+    payload = {"g": args.g}
+    if args.g == 1.0:
         pars = propagator.asymptotic_params(rho0)
-        rho_as = propagator.stationary_matrix(pars)
-        conc = entanglement.concurrence(rho_as)
-        payload = {
-            "g": args.g,
-            "alpha": pars.alpha,
-            "beta": [pars.beta.real, pars.beta.imag],
-            "rho_as": statefile.state_to_entries(rho_as),
-            "concurrence": conc,
-        }
-    else:
-        # uniquely relaxing for g < 1: every state ends in ground x ground
-        rho_as = states.product_state(qmat.GROUND, qmat.GROUND)
-        payload = {
-            "g": args.g,
-            "rho_as": statefile.state_to_entries(rho_as),
-            "concurrence": 0.0,
-            "note": "uniquely relaxing for g < 1: asymptotic state is ground x ground",
-        }
+        payload |= {"alpha": pars.alpha, "beta": [pars.beta.real, pars.beta.imag]}
+    payload |= {
+        "rho_as": statefile.state_to_entries(rho_as),
+        "concurrence": entanglement.asymptotic_concurrence(rho_as),
+    }
+    if args.g < 1.0:
+        payload["note"] = "uniquely relaxing for g < 1: asymptotic state is ground x ground"
     with _output(args.output) as fp:
         if args.format == "json":
             json.dump(payload, fp, indent=1)
@@ -333,7 +327,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: devnull takes the rest, the final flush included
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was written (broken pipe)", file=sys.stderr)
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,14 @@ levels decay at G = (2 gamma0, gamma0 + gamma, gamma0 - gamma, 0), each
 Dicke-basis element (i, j) at (G_i + G_j)/2, and |s><s|, |a><a|, |s><00|
 and |a><00| are also fed from above (:func:`evolve`).
 
-At g = 1 the subradiant ladder is frozen, so the state keeps its weight
-on |a> and its |a><00| coherence; the t -> infinity limit is the
-two-parameter stationary family of :func:`asymptotic_state`.  For g < 1
+As t -> infinity only the elements whose two levels are both dark (G = 0)
+keep their value, and no feed survives: the feeds into |s><s| and |s><00|
+land on decaying elements, and those into |a><a| and |a><00| carry weight
+gamma0 - gamma, which is 0 exactly when |a> is dark.  So the limit,
+:func:`asymptotic_state`, is the dark part P rho P (P the projector onto
+the dark levels) with the rest of the trace on |00><00|.  At g = 1 |a> is
+dark and the state keeps its weight on |a> and its |a><00| coherence, the
+stationary family (alpha, beta) of :func:`asymptotic_params`.  For g < 1
 every state relaxes to |00><00|, and the excited x ground start has a
 transient entanglement peak whose time and height are :func:`t_gamma` and
 :func:`c_max`.
@@ -27,6 +32,13 @@ import numpy as np
 from .model import ModelParams, ParameterError
 
 _HALF_SQRT2 = np.sqrt(0.5)
+#: product-basis projectors onto the Dicke levels |11>, |s>, |a>, |00> (exact)
+_LEVEL_PROJECTORS = np.array([
+    np.diag([1.0, 0.0, 0.0, 0.0]),
+    0.5 * np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]]),
+    0.5 * np.array([[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]]),
+    np.diag([0.0, 0.0, 0.0, 1.0]),
+], dtype=complex)
 
 
 class DegenerateRatesError(ValueError):
@@ -43,10 +55,6 @@ class AsymptoticParams:
 
     alpha: float
     beta: complex
-
-    def __post_init__(self):
-        if not -1e-12 <= self.alpha <= 0.5 + 1e-12:
-            raise ValueError(f"alpha must lie in [0, 1/2], got {self.alpha}")
 
 
 def _dicke(m: np.ndarray) -> np.ndarray:
@@ -71,26 +79,31 @@ def _fed(a: float, b: float, t: np.ndarray) -> np.ndarray:
     return np.exp(-min(a, b) * t) * (-np.expm1(-d * t) / d if d else t)
 
 
+def _level_rates(params: ModelParams) -> np.ndarray:
+    """Decay rates G = (2 gamma0, gamma0 + gamma, gamma0 - gamma, 0) of the Dicke levels."""
+    g0, gamma = params.gamma0, params.gamma
+    return np.array([2.0 * g0, g0 + gamma, g0 - gamma, 0.0])
+
+
 def evolve(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     """Exact state at time t >= 0 started from rho0 (any 4x4 density matrix).
 
-    Dicke element (i, j) decays at (G_i + G_j)/2, G = (2 gamma0, up, down, 0)
-    with up/down = gamma0 +- gamma; |11><11| feeds |s><s| at rate up and |a><a|
-    at down, |11><s| feeds |s><00| at up and |11><a| feeds |a><00| at -down.
+    Dicke element (i, j) decays at (G_i + G_j)/2 (:func:`_level_rates`);
+    |11><11| feeds |s><s| at rate G_1 and |a><a| at G_2, |11><s| feeds |s><00|
+    at G_1 and |11><a| feeds |a><00| at -G_2.
     An array ``t`` of shape S gives S + (4, 4) stacked states, a scalar one 4x4.
     """
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
-    g0, up, down = params.gamma0, params.gamma0 + params.gamma, params.gamma0 - params.gamma
-    G = np.array([2.0 * g0, up, down, 0.0])
+    G = _level_rates(params)
     rate = 0.5 * (G[:, None] + G)
     r = _dicke(rho0)
     # a rate times a large t may overflow to inf, whose exponential is 0
     with np.errstate(over="ignore"):
         out = r * np.exp(-rate * t[..., None, None])
-        for (i, j), source, w in (((1, 1), (0, 0), up), ((2, 2), (0, 0), down),
-                                  ((1, 3), (0, 1), up), ((2, 3), (0, 2), -down)):
+        for (i, j), source, w in (((1, 1), (0, 0), G[1]), ((2, 2), (0, 0), G[2]),
+                                  ((1, 3), (0, 1), G[1]), ((2, 3), (0, 2), -G[2])):
             fed = w * r[source] * _fed(rate[i, j], rate[source], t)
             out[..., i, j] += fed
             if i != j:
@@ -109,25 +122,17 @@ def asymptotic_params(rho0: np.ndarray) -> AsymptoticParams:
     return AsymptoticParams(alpha=float(np.clip(alpha, 0.0, 0.5)), beta=complex(beta))
 
 
-def stationary_matrix(params: AsymptoticParams) -> np.ndarray:
-    """The stationary density matrix for given (alpha, beta)."""
-    a, b = params.alpha, params.beta
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 1] = a
-    m[2, 2] = a
-    m[1, 2] = -a
-    m[2, 1] = -a
-    m[1, 3] = b
-    m[2, 3] = -b
-    m[3, 1] = np.conj(b)
-    m[3, 2] = -np.conj(b)
-    m[3, 3] = 1.0 - 2.0 * a
-    return m
+def asymptotic_state(rho0: np.ndarray, g: float = 1.0) -> np.ndarray:
+    """t -> infinity limit of the evolution at exchange ratio g started from rho0.
 
-
-def asymptotic_state(rho0: np.ndarray) -> np.ndarray:
-    """t -> infinity limit of the g = 1 evolution started from rho0."""
-    return stationary_matrix(asymptotic_params(rho0))
+    The dark part P rho0 P, P the projector onto the levels with G = 0
+    (|00>, and |a> at g = 1), with |00><00| raised to the trace of rho0.
+    """
+    dark = _LEVEL_PROJECTORS[_level_rates(ModelParams(1.0, g)) == 0.0].sum(axis=0)
+    r = np.asarray(rho0, dtype=complex)
+    out = dark @ r @ dark
+    out[3, 3] += r.trace() - out.trace()
+    return out
 
 
 def _require_peak_rates(gamma0: float, gamma: float) -> None:

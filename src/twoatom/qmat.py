@@ -126,17 +126,6 @@ def _psd_eigh(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> tuple[np.ndarray, n
     return np.where(w < 0.0, 0.0, w), v
 
 
-def sqrt_psd(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix, or of each in a stack.
-
-    Eigenvalues in [-tol, 0) are clamped to zero (floating-point noise on
-    PSD matrices); anything below -tol raises ``NotPSDError``.
-    """
-    w, v = _psd_eigh(m, tol)
-    s = (v * np.sqrt(w)[..., None, :]) @ dag(v)
-    return 0.5 * (s + dag(s))
-
-
 def state_health(m: np.ndarray) -> tuple:
     """Per state: hermiticity defect max|m - m^H|, trace defect |tr m - 1| and
     the ascending spectrum of the Hermitian part, of shapes S, S and S + (4,)

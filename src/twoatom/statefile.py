@@ -116,11 +116,6 @@ def state_to_entries(rho: np.ndarray) -> list[list[float]]:
     return _pairs(rho).tolist()
 
 
-def dump_state(rho: np.ndarray, fp) -> None:
-    json.dump({"entries": state_to_entries(rho)}, fp, indent=1)
-    fp.write("\n")
-
-
 _RHO_LABELS = [f"{j}{k}" for j in range(1, 5) for k in range(1, 5)]
 
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 
 import twoatom
 from twoatom import propagator, qmat
-from twoatom.cli import EXIT_BAD_STATE, EXIT_NUMERICAL, EXIT_OK, EXIT_UNSUPPORTED, main
+from twoatom.cli import (
+    EXIT_BAD_STATE,
+    EXIT_BROKEN_PIPE,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_UNSUPPORTED,
+    main,
+)
 from twoatom.model import ModelParams, ParameterError
 
 
@@ -243,6 +251,17 @@ class TestAsymptotic:
         obj = json.loads(out.read_text())
         assert obj["concurrence"] == 0.0
         assert "uniquely relaxing" in obj["note"]
+
+    @pytest.mark.parametrize("g", ["0", "0.5", "1"])
+    def test_concurrence_is_that_of_the_limit(self, tmp_path, g):
+        out = tmp_path / "rep.json"
+        for seed in range(10):
+            argv = ["asymptotic", "--state", "random", "--seed", str(seed), "--g", g,
+                    "--format", "json", "--output", str(out)]
+            assert main(argv) == EXIT_OK
+            rho = qmat.random_density_matrix(np.random.default_rng(seed))
+            want = twoatom.concurrence(propagator.asymptotic_state(rho, float(g)))
+            assert json.loads(out.read_text())["concurrence"] == pytest.approx(want, abs=1e-12)
 
 
 class TestConcurrenceCommand:
@@ -531,6 +550,24 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert rc == EXIT_UNSUPPORTED
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_gives_one_error_line(self):
+        """A reader that stops after one line (``| head -1``) leaves exit code 5
+        and one stderr line, with no traceback from the interpreter's flush."""
+        src = str(Path(twoatom.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "twoatom.cli", "evolve", "--state", "random", "--seed", "1",
+                "--method", "closed-form", "--with-rho", "--samples", "2001"]
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"t,concurrence,rho_re_11,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestLargeRates:

@@ -233,7 +233,7 @@ class TestStackedMeasures:
     def test_stack_equals_per_matrix(self, rng):
         stack = self._stack(rng)
         flat = stack.reshape(-1, 4, 4)
-        for fn in (concurrence, purity, asymptotic_concurrence, qmat.sqrt_psd):
+        for fn in (concurrence, purity, asymptotic_concurrence):
             stacked = fn(stack)
             single = np.array([fn(r) for r in flat])
             assert stacked.shape == stack.shape[:2] + single.shape[1:]

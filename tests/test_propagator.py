@@ -10,13 +10,11 @@ from twoatom import qmat
 from twoatom.entanglement import concurrence
 from twoatom.model import ModelParams, ParameterError, evolve_series, integrate, lindblad_rhs
 from twoatom.propagator import (
-    AsymptoticParams,
     DegenerateRatesError,
     asymptotic_params,
     asymptotic_state,
     c_max,
     evolve,
-    stationary_matrix,
     t_gamma,
 )
 from twoatom.states import bell, bell_diagonal, product_state, werner
@@ -25,6 +23,22 @@ from conftest import random_states
 
 P_G1 = ModelParams(1.0, 1.0)
 EXCITED_GROUND = product_state(qmat.EXCITED, qmat.GROUND)
+
+
+def _stationary_matrix(pars):
+    """The g = 1 stationary state for (alpha, beta), element by element."""
+    a, b = pars.alpha, pars.beta
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, 1] = a
+    m[2, 2] = a
+    m[1, 2] = -a
+    m[2, 1] = -a
+    m[1, 3] = b
+    m[2, 3] = -b
+    m[3, 1] = np.conj(b)
+    m[3, 2] = -np.conj(b)
+    m[3, 3] = 1.0 - 2.0 * a
+    return m
 
 
 class TestEvolveG1:
@@ -82,8 +96,7 @@ class TestEvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             late = evolve(rho, ModelParams(1.3, g), 1e300)
-        stationary = asymptotic_state(rho) if g == 1.0 else product_state(qmat.GROUND, qmat.GROUND)
-        assert np.abs(late - stationary).max() < 1e-14
+        assert np.abs(late - asymptotic_state(rho, g)).max() < 1e-14
 
     def test_satisfies_generator(self):
         """The central difference of evolve at t +- h matches lindblad_rhs at t.
@@ -194,9 +207,20 @@ class TestAsymptoticMap:
             qmat.validate_state(stat, atol=1e-12)
             assert np.abs(lindblad_rhs(stat, params)).max() < 1e-10
 
-    def test_params_range_enforced(self):
-        with pytest.raises(ValueError):
-            AsymptoticParams(alpha=0.7, beta=0.0)
+    def test_matches_hand_built_stationary_family(self):
+        for rho in random_states(109, 30):
+            assert np.abs(asymptotic_state(rho) - _stationary_matrix(asymptotic_params(rho))).max() <= 1e-15
+
+    def test_below_g1_only_ground_is_dark(self):
+        ground = product_state(qmat.GROUND, qmat.GROUND)
+        for g in (0.0, 0.5, 1.0 - 2**-53):
+            for rho in random_states(139, 5):
+                assert np.abs(asymptotic_state(rho, g) - ground).max() <= 1e-15
+
+    def test_g_out_of_range(self):
+        for g in (-0.1, 1.5, np.nan):
+            with pytest.raises(ParameterError):
+                asymptotic_state(EXCITED_GROUND, g)
 
 
 class TestExcitedGroundGeneral:
@@ -299,7 +323,6 @@ class TestConcurrenceAlongFlow:
 
     def test_stationary_concurrence_doubles_alpha(self):
         for rho in random_states(107, 30):
-            pars = asymptotic_params(rho)
-            assert concurrence(stationary_matrix(pars)) == pytest.approx(
-                2 * abs(pars.alpha), abs=1e-10
+            assert concurrence(asymptotic_state(rho)) == pytest.approx(
+                2 * abs(asymptotic_params(rho).alpha), abs=1e-10
             )

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom import qmat
+from twoatom.entanglement import concurrence
 from twoatom.qmat import (
     InvalidStateError,
     NotHermitianError,
@@ -12,12 +13,11 @@ from twoatom.qmat import (
     kron,
     partial_trace,
     partial_transpose_a,
-    sqrt_psd,
     state_health,
     validate_state,
 )
 
-from conftest import random_pure_state, random_states
+from conftest import random_states
 
 I2 = qmat.IDENTITY_2
 I4 = qmat.IDENTITY_4
@@ -162,59 +162,26 @@ class TestHermitianEigenvalues:
         assert np.allclose(w, [[4, 3, 2, 1], [8, 7, 6, 5]], atol=1e-12)
 
 
-class TestSqrtPsd:
-    def test_identity(self):
-        assert np.allclose(sqrt_psd(I4), I4, atol=1e-12)
-
-    def test_diagonal(self):
-        m = np.diag([4.0, 1.0, 0.0, 0.0]).astype(complex)
-        assert np.allclose(sqrt_psd(m), np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-12)
-
-    def test_projector_idempotent(self, rng):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        p = np.outer(v, v.conj())
-        assert np.allclose(sqrt_psd(p), p, atol=1e-10)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_square_recovers_input(self, seed):
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        q, _ = np.linalg.qr(g)
-        m = (q * rng.uniform(0, 2, size=4)) @ q.conj().T
-        m = 0.5 * (m + m.conj().T)
-        s = sqrt_psd(m)
-        assert np.abs(s @ s - m).max() < 1e-8
-        assert np.abs(s - s.conj().T).max() < 1e-12
+class TestPsdEigh:
+    """The PSD eigendecomposition behind concurrence names what it rejects."""
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -5.000e-01 below -1.0e-09$"):
-            sqrt_psd(np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex))
+            concurrence(np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex))
 
     def test_rejects_non_hermitian(self):
         m = I4.copy()
         m[0, 1] = 1.0
         message = r"^hermiticity defect 1.000e\+00 exceeds 1.0e-09$"
         with pytest.raises(NotHermitianError, match=message):
-            sqrt_psd(m)
+            concurrence(m)
 
     def test_nan_is_not_hermitian(self):
         for place, bad in (((0, 3), np.nan), ((1, 1), np.inf)):
             m = I4 / 4
             m[place] = bad
             with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
-                sqrt_psd(m)
-
-    def test_matches_direct_eigendecomposition_bitwise(self, rng):
-        """The shared PSD eigendecomposition leaves sqrt_psd's arithmetic as
-        it was: clamp, scale the eigenvectors, multiply, symmetrize."""
-        noisy = np.diag([0.5, 0.5, 0.0, -1e-12]).astype(complex)
-        stack = np.array(random_states(31, 5) + [random_pure_state(rng), noisy])
-        h = 0.5 * (stack + qmat.dag(stack))
-        w, v = np.linalg.eigh(h)
-        s = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ qmat.dag(v)
-        assert np.array_equal(sqrt_psd(stack), 0.5 * (s + qmat.dag(s)))
+                concurrence(m)
 
 
 class TestValidateState:
