@@ -11,8 +11,8 @@ peak         transient-entanglement peak (time, height) for g < 1
 Exit codes: 0 success, 2 invalid input state, 3 unsupported parameter
 combination or parameter out of range, 4 numerical failure (RK4 step too
 large for the rates, eigensolver not converged, computed state not PSD),
-5 output closed by its reader before it was written (a broken pipe, as
-in ``twoatom evolve ... | head -1``).
+5 the output could not be written (closed pipe, full device), as in
+``twoatom evolve ... | head -1`` or ``twoatom evolve ... > /dev/full``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ EXIT_OK = 0
 EXIT_BAD_STATE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERICAL = 4
-EXIT_BROKEN_PIPE = 5
+EXIT_WRITE_FAILED = 5
 
 def _load_state(source: str, seed) -> np.ndarray:
     if source == "random":
@@ -277,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=None, help="default 5/gamma0")
     p.add_argument("--samples", type=int, default=501)
-    p.add_argument("--dt", type=float, default=1e-3, help="RK4 step")
+    p.add_argument(
+        "--dt", type=float, default=1e-3,
+        help="RK4 step; a step above the sample spacing acts as the spacing",
+    )
     p.add_argument("--method", choices=("closed-form", "rk4"), default="rk4")
     p.add_argument("--with-rho", action="store_true", help="include rho(t) columns")
     _add_output_args(p)
@@ -330,11 +333,12 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: devnull takes the rest, the final flush included
+    except OSError as exc:
+        # main has turned every failure to read into its own error, so this is
+        # the output: devnull takes the rest of stdout, the final flush included
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: output closed before it was written (broken pipe)", file=sys.stderr)
-        code = EXIT_BROKEN_PIPE
+        print(f"error: output could not be written: {exc.strerror or exc}", file=sys.stderr)
+        code = EXIT_WRITE_FAILED
     sys.exit(code)
 
 

@@ -161,6 +161,47 @@ def integrate(rho0: np.ndarray, params: ModelParams, t: float, step: float = 1e-
     return evolve_series(rho0, params, [t], step)[0]
 
 
+def _run_plan(t_grid: np.ndarray, step: float):
+    """The RK4 schedule of a checked grid: ``(pairs, pair_of_run, bounds)``.
+
+    Run r holds samples ``bounds[r]:bounds[r + 1]``, each of them one
+    ``pairs[pair_of_run[r]] = (whole steps, remainder)`` advance on from the
+    sample before it (the first from t = 0).  A run is a maximal stretch of
+    consecutive gaps that agree within ``8 eps t``, a few ulps of the sample
+    time t (the rounding of the times), and it takes the mean of its gaps.
+    Should that mean place a sample more than ``8 eps t`` off its grid time
+    (the gaps drift), the run falls back to runs of one sample, each taking
+    its own gap.
+    """
+    t = np.concatenate(([0.0], t_grid))
+    gaps = np.diff(t)
+    tol = 8.0 * np.finfo(float).eps * t_grid
+    first = np.ones(len(gaps), dtype=bool)
+    first[1:] = ~(np.abs(np.diff(gaps)) <= tol[1:])
+
+    def runs():
+        bounds = np.append(np.flatnonzero(first), len(gaps))
+        return bounds, (t[bounds[1:]] - t[bounds[:-1]]) / np.diff(bounds)
+
+    bounds, mean = runs()
+    run = np.cumsum(first) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        placed = t[bounds[:-1]][run] + (np.arange(len(gaps)) + 1 - bounds[:-1][run]) * mean[run]
+        off = ~(np.abs(placed - t_grid) <= tol)
+    if off.any():
+        first |= np.logical_or.reduceat(off, bounds[:-1])[run]
+        bounds, mean = runs()
+    with np.errstate(over="ignore"):
+        whole = np.floor(mean / step + 1e-12)
+    if not np.all(np.isfinite(whole)):
+        raise ParameterError(f"grid spacing over step {step} overflows")
+    rem = mean - whole * step
+    # a remainder that is rounding residue of the gap takes no step
+    rem[rem <= 1e-12 * mean] = 0.0
+    pairs, pair_of_run = np.unique(np.column_stack([whole, rem]), axis=0, return_inverse=True)
+    return pairs, pair_of_run.ravel(), bounds
+
+
 def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1e-3) -> np.ndarray:
     """States at every grid time from a single integrator pass, shape (T, 4, 4).
 
@@ -170,9 +211,19 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
     offending time or the step.  Each
     interval between samples (the first from t = 0) takes whole steps of
     ``step`` plus one shorter remainder step, so a step above the sample
-    spacing acts as the spacing.  The advance matrix of an interval depends
-    only on its (whole steps, remainder) pair and is built once per distinct
-    pair.
+    spacing acts as the spacing.  A run of equal gaps (:func:`_run_plan`)
+    takes their mean, which equals every one of them within a few ulps of
+    t; a ``linspace`` grid is at most two runs, its first sample and the
+    rest.  The advance matrix of an interval depends only on its (whole
+    steps, remainder) pair and is built once per distinct pair.  A run is
+    filled by doubling: its first k states times the k-th power of its
+    advance matrix give the next k.
+
+    One advance matrix for a whole run makes its rounding compound
+    coherently, as on any grid of one gap.  On [0, 5] at gamma0 = 1 the
+    largest deviation from the exact propagator is about 5.6e-14 at 2,001
+    samples and 2.5e-13 at 20,001; a matrix per distinct rounded gap gave
+    4.5e-14 and 5.3e-14.
     """
     floor = MIN_SCALED_STEP / params.gamma0
     if not floor <= step < np.inf:
@@ -190,15 +241,7 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
         raise ParameterError(
             f"grid times must be strictly ascending, got t={t_grid[i]} after t={t_grid[i - 1]}"
         )
-    gaps = np.diff(t_grid, prepend=0.0)
-    with np.errstate(over="ignore"):
-        whole = np.floor(gaps / step + 1e-12)
-    if not np.all(np.isfinite(whole)):
-        raise ParameterError(f"grid spacing over step {step} overflows")
-    rem = gaps - whole * step
-    # a remainder that is rounding residue of the gap takes no step
-    rem[rem <= 1e-12 * gaps] = 0.0
-    pairs, index = np.unique(np.column_stack([whole, rem]), axis=0, return_inverse=True)
+    pairs, pair_of_run, bounds = _run_plan(t_grid, step)
     lv = liouvillian(params)
     # an unstable step may overflow; the positivity guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,12 +249,20 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
         advance = []
         for n, h in pairs:
             a = np.linalg.matrix_power(step_matrix, int(n))
-            advance.append(_rk4_step_matrix(lv, h) @ a if h > 0 else a)
-        traj = np.empty((len(t_grid), 16), dtype=complex)
-        y = np.asarray(rho0, dtype=complex).reshape(16)
-        for i, k in enumerate(index.ravel()):
-            y = advance[k] @ y
-            traj[i] = y
-        traj = traj.reshape(-1, 4, 4)
+            advance.append((_rk4_step_matrix(lv, h) @ a if h > 0 else a).T)
+        # rows are row-major vec(rho), so they take the transposed advance from
+        # the right: row 0 is rho0, row i + 1 the state at t_grid[i]
+        traj = np.empty((len(t_grid) + 1, 16), dtype=complex)
+        traj[0] = np.asarray(rho0, dtype=complex).reshape(16)
+        for s, e, k in zip(bounds[:-1], bounds[1:], pair_of_run):
+            # rows s .. s + f - 1 are filled; power is the f-th power of the advance
+            power, f = advance[k], 1
+            while f <= e - s:
+                m = min(f, e - s + 1 - f)
+                traj[s + f : s + f + m] = traj[s : s + m] @ power
+                f += m
+                if f <= e - s:
+                    power = power @ power
+        traj = traj[1:].reshape(-1, 4, 4)
         _check_positivity(traj, t_grid)
     return traj

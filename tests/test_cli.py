@@ -16,10 +16,10 @@ import twoatom
 from twoatom import propagator, qmat
 from twoatom.cli import (
     EXIT_BAD_STATE,
-    EXIT_BROKEN_PIPE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNSUPPORTED,
+    EXIT_WRITE_FAILED,
     main,
 )
 from twoatom.model import ModelParams, ParameterError
@@ -552,22 +552,48 @@ class TestExitCodes:
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _cli_argv_env(*args):
+    """Argv and environment that run ``python -m twoatom.cli`` from this source tree."""
+    src = str(Path(twoatom.__file__).resolve().parents[1])
+    return [sys.executable, "-m", "twoatom.cli", *args], {**os.environ, "PYTHONPATH": src}
+
+
 class TestBrokenPipe:
     def test_reader_closing_early_gives_one_error_line(self):
         """A reader that stops after one line (``| head -1``) leaves exit code 5
         and one stderr line, with no traceback from the interpreter's flush."""
-        src = str(Path(twoatom.__file__).resolve().parents[1])
-        argv = [sys.executable, "-m", "twoatom.cli", "evolve", "--state", "random", "--seed", "1",
-                "--method", "closed-form", "--with-rho", "--samples", "2001"]
-        env = {**os.environ, "PYTHONPATH": src}
+        argv, env = _cli_argv_env("evolve", "--state", "random", "--seed", "1",
+                                  "--method", "closed-form", "--with-rho", "--samples", "2001")
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert proc.stdout.readline().startswith(b"t,concurrence,rho_re_11,")
         proc.stdout.close()
         err = proc.stderr.read().decode()
         proc.stderr.close()
-        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert proc.wait(timeout=60) == EXIT_WRITE_FAILED
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+class TestFullDevice:
+    @pytest.mark.parametrize(
+        "args,to_stdout",
+        [
+            (["concurrence", "--state", "random", "--seed", "1"], True),
+            (["evolve", "--state", "random", "--seed", "1", "--method", "closed-form"], True),
+            (["evolve", "--state", "random", "--seed", "1", "--output", "/dev/full"], False),
+        ],
+        ids=["concurrence", "evolve", "evolve-output"],
+    )
+    def test_full_device_gives_one_error_line(self, args, to_stdout):
+        """Output to a full device (stdout or ``--output``) exits 5 with one line."""
+        argv, env = _cli_argv_env(*args)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full if to_stdout else subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_WRITE_FAILED
+        assert err == "error: output could not be written: No space left on device\n"
 
 
 class TestLargeRates:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twoatom import qmat
+from twoatom import propagator, qmat
 from twoatom.model import (
     ModelParams,
     ParameterError,
     StepTooLargeError,
     _check_positivity,
+    _run_plan,
     evolve_series,
     integrate,
     lindblad_rhs,
@@ -189,12 +192,13 @@ class TestPositivityGuard:
 
 def _rk4_loop(rho, params, t_grid, step):
     """Classical four-stage RK4 on lindblad_rhs, stepping sample to sample:
-    whole steps of ``step`` plus one shorter remainder step per interval."""
+    whole steps of ``step`` plus one shorter remainder step per interval,
+    dropped when it is at most 1e-12 of the interval (rounding residue)."""
     out, y, t_prev = [], np.asarray(rho, dtype=complex), 0.0
     for t in t_grid:
         n = int(np.floor((t - t_prev) / step + 1e-12))
         rem = (t - t_prev) - n * step
-        for h in [step] * n + ([rem] if rem > 1e-15 else []):
+        for h in [step] * n + ([rem] if rem > 1e-12 * (t - t_prev) else []):
             k1 = lindblad_rhs(y, params)
             k2 = lindblad_rhs(y + 0.5 * h * k1, params)
             k3 = lindblad_rhs(y + 0.5 * h * k2, params)
@@ -266,6 +270,82 @@ class TestEvolveSeries:
         if len(grid) == 1:
             with pytest.raises(ParameterError, match=message):
                 integrate(rho, P_G1, grid[0])
+
+
+def _stretches(draw):
+    """Equal-gap stretches, each entered by a jump from the end of the last."""
+    t, pieces = 0.0, []
+    for _ in range(draw(st.integers(1, 4))):
+        t += draw(st.floats(1e-3, 0.2))
+        gap = draw(st.floats(1e-3, 0.05))
+        pieces.append(t + gap * np.arange(draw(st.integers(1, 12))))
+        t = pieces[-1][-1]
+    return np.concatenate(pieces), len(pieces)
+
+
+@st.composite
+def _grids(draw):
+    """A grid of one kind, its step, and the most runs its plan may have."""
+    kind = draw(st.sampled_from(["random", "linspace", "stretches", "drift", "one point"]))
+    step = draw(st.sampled_from([1e-2, 7e-3, 0.05]))
+    if kind == "random":
+        times = draw(st.lists(st.floats(0.0, 0.6), min_size=1, max_size=10, unique=True))
+        grid = np.sort(times)
+        return kind, grid, step, len(grid)
+    if kind == "linspace":
+        start = draw(st.floats(1e-3, 0.5))
+        grid = np.linspace(start, start + draw(st.floats(0.05, 0.5)), draw(st.integers(2, 40)))
+        return kind, grid, step, 2
+    if kind == "stretches":
+        grid, pieces = _stretches(draw)
+        # a stretch is at most its jump and its equal gaps
+        return kind, grid, step, 2 * pieces
+    if kind == "drift":
+        # gaps h (1 + 1e-14 (2i - 1)) that stray from any mean by far more than
+        # the rounding of t; h is a whole number of steps, so every remainder
+        # is 1e-14 of a gap or less and takes no step
+        h = step * draw(st.integers(1, 3))
+        i = np.arange(draw(st.integers(20, 60)))
+        return kind, h * i * (1.0 + 1e-14 * i), step, len(i)
+    return kind, np.array([draw(st.floats(0.0, 0.6))]), step, 1
+
+
+class TestRunPlan:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_grids(), g=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**31 - 1))
+    def test_matches_stagewise_rk4(self, case, g, seed):
+        kind, grid, step, most_runs = case
+        lengths = np.diff(_run_plan(grid, step)[2])
+        assert len(lengths) <= most_runs
+        if kind == "drift":
+            # from i ~ 11 on a gap drifts from the last by less than 8 ulps of t,
+            # so the gaps chain into one stretch, whose mean gap strays from the
+            # times: it falls back.  L samples stray from their chord by about
+            # 1e-14 h L^2 / 4, within 8 ulps of t <= 60 h only up to L = 6.
+            assert lengths.max() <= 6
+        rho = qmat.random_density_matrix(np.random.default_rng(seed))
+        params = ModelParams(1.3, g)
+        series = evolve_series(rho, params, grid, step=step)
+        assert np.abs(series - _rk4_loop(rho, params, grid, step)).max() <= 1e-13
+
+    @pytest.mark.parametrize("start", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("samples", [101, 2001, 20001])
+    def test_linspace_is_two_runs(self, samples, start):
+        """The first sample, then one run of the equal gaps."""
+        pairs, pair_of_run, bounds = _run_plan(np.linspace(start, 5.0, samples), 1e-3)
+        assert bounds.tolist() == [0, 1, samples]
+        assert len(pairs) == len(pair_of_run) == 2
+
+    @pytest.mark.parametrize("samples,bound", [(2001, 1e-13), (20001, 1e-12)])
+    def test_close_to_exact_propagator(self, samples, bound):
+        """A long run compounds the rounding of its one advance matrix."""
+        grid = np.linspace(0.0, 5.0, samples)
+        starts = [product_state(qmat.EXCITED, qmat.GROUND), bell("psi_plus")] + random_states(83, 1)
+        for g in (0.3, 1.0):
+            params = ModelParams(1.0, g)
+            for rho in starts:
+                deviation = evolve_series(rho, params, grid) - propagator.evolve(rho, params, grid)
+                assert np.abs(deviation).max() <= bound
 
 
 class TestSemigroupProperties:
