@@ -8,7 +8,10 @@ from this tree's ``src/`` and then from ``OTHER_TREE/src``, and captures
 stdout, stderr and the exit code of each call.  The list covers ``evolve``
 (rk4 and closed-form, csv and json, with and without ``--with-rho``),
 ``figure fig1-fig3``, ``asymptotic``, ``concurrence`` and ``peak``,
-extreme rates and closed-form calls at g near 0 and 1 included.  One line
+extreme rates and closed-form calls at g near 0 and 1 included, and calls
+through the two other streams: ``--output FILE``, whose bytes count as the
+call's stdout (a file the call did not create as the line ``[no file]``), and
+``--state -``, written ``... --state - < FILE`` and fed FILE on stdin.  One line
 per call says whether the two trees gave byte-identical stdout, stderr and
 exit code, and the largest absolute difference between the numbers in
 their output.  Exits 1 if any call differs in any byte, 0 otherwise.
@@ -114,6 +117,27 @@ def golden_argvs(state_dir: Path) -> list[list[str]]:
             for fmt in ("csv", "json"):
                 argvs.append(["peak", "--gamma0", gamma0, "--g", g, "--format", fmt])
     argvs.append(["peak", "--gamma0", "1e-307", "--g", "0.5"])
+    out = str(state_dir / "out.txt")
+    for fmt in ("csv", "json"):
+        for name in ("excited_ground", "entries"):
+            argvs.append(["evolve", "--state", paths[name], "--samples", "41", "--with-rho",
+                          "--format", fmt, "--output", out])
+            for g in ("1", "0.5"):
+                argvs.append(["asymptotic", "--state", paths[name], "--g", g, "--format", fmt,
+                              "--output", out])
+        for which in ("fig1", "fig2", "fig3"):
+            argvs.append(["figure", which, "--samples", "41", "--format", fmt, "--output", out])
+        argvs.append(["peak", "--g", "0.3", "--format", fmt, "--output", out])
+    # failed runs, which must leave no file, and "-" for stdout
+    argvs.append(["evolve", "--state", paths["mes"], "--g", "2", "--output", out])
+    argvs.append(["evolve", "--state", paths["mes"], "--samples", "2", "--dt", "5", "--t-max",
+                  "50", "--output", out])
+    argvs.append(["peak", "--g", "1", "--output", out])
+    argvs.append(["peak", "--g", "0.3", "--output", "-"])
+    for path in paths.values():
+        argvs.append(["evolve", "--state", "-", "--samples", "21", "--with-rho", "<", path])
+        argvs.append(["asymptotic", "--state", "-", "--format", "json", "<", path])
+        argvs.append(["concurrence", "--state", "-", "<", path])
     return argvs
 
 
@@ -127,18 +151,36 @@ def run_tree(src: Path, argvs) -> list[tuple[int, str, str]]:
         cli = importlib.import_module("twoatom.cli")
         if Path(cli.__file__).resolve().parents[1] != src.resolve():
             raise SystemExit(f"imported {cli.__file__}, not a module under {src}")
-        results = []
-        for argv in argvs:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            results.append((code, out.getvalue(), err.getvalue()))
-        return results
+        return [_run_call(cli.main, argv) for argv in argvs]
     finally:
         sys.path.remove(str(src))
+
+
+def _run_call(main, argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one call; ``< FILE`` at the end of
+    ``argv`` feeds FILE on stdin, and an ``--output`` file is read as stdout,
+    one the call did not create as ``[no file]``, so that an empty file differs."""
+    stdin = sys.stdin
+    if "<" in argv:
+        argv, source = argv[:-2], argv[-1]
+        sys.stdin = io.StringIO(Path(source).read_text(encoding="utf-8"))
+    target = argv[argv.index("--output") + 1] if "--output" in argv else "-"
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    if target != "-":
+        if Path(target).exists():
+            out.write(Path(target).read_bytes().decode("utf-8"))
+            Path(target).unlink()
+        else:
+            out.write("[no file]\n")
+    return code, out.getvalue(), err.getvalue()
 
 
 def max_numeric_diff(a: str, b: str):

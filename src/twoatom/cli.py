@@ -8,11 +8,12 @@ concurrence  one-shot concurrence of a state file
 figure       canonical curve files fig1 / fig2 / fig3
 peak         transient-entanglement peak (time, height) for g < 1
 
-Exit codes: 0 success, 2 invalid input state, 3 unsupported parameter
-combination or parameter out of range, 4 numerical failure (RK4 step too
-large for the rates, eigensolver not converged, computed state not PSD),
-5 the output could not be written (closed pipe, full device), as in
-``twoatom evolve ... | head -1`` or ``twoatom evolve ... > /dev/full``.
+Exit codes: 0 success, 2 invalid input state (or a closed stdin for
+``--state -``), 3 unsupported parameter combination or parameter out of
+range (a ``--samples`` too large to allocate included), 4 numerical failure
+(RK4 step too large for the rates, eigensolver not converged, computed state
+not PSD), 5 the output could not be written (closed pipe, full device, closed
+stdout), as in ``twoatom evolve ... | head -1`` or ``... > /dev/full``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -41,6 +43,7 @@ EXIT_BAD_STATE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERICAL = 4
 EXIT_WRITE_FAILED = 5
+Writer = Callable[[TextIO], object]  # what a cmd_* returns: it writes the output to a stream
 
 def _load_state(source: str, seed) -> np.ndarray:
     if source == "random":
@@ -50,6 +53,8 @@ def _load_state(source: str, seed) -> np.ndarray:
         return qmat.random_density_matrix(rng)
     try:
         if source == "-":
+            if sys.stdin is None:
+                raise OSError("stdin is closed")
             return statefile.load_state(sys.stdin)
         with open(source, "r", encoding="utf-8") as fp:
             return statefile.load_state(fp)
@@ -60,6 +65,8 @@ def _load_state(source: str, seed) -> np.ndarray:
 @contextlib.contextmanager
 def _output(path):
     if path in (None, "-"):
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         yield sys.stdout
     else:
         try:
@@ -70,11 +77,18 @@ def _output(path):
             yield fp
 
 
+def _report(fmt: str, payload, lines) -> Writer:
+    """Writer of ``payload`` as JSON, or for any other ``fmt`` of the lines ``lines()``."""
+    if fmt == "json":
+        return lambda fp: fp.write(json.dumps(payload, indent=1) + "\n")
+    return lambda fp: fp.write("".join(f"{line}\n" for line in lines()))
+
+
 def _t_max(args, params: ModelParams) -> float:
     return args.t_max if args.t_max is not None else 5.0 / params.gamma0
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> Writer:
     rho0 = _load_state(args.state, args.seed)
     params = ModelParams(gamma0=args.gamma0, g=args.g)
     t_max = _t_max(args, params)
@@ -86,19 +100,12 @@ def cmd_evolve(args) -> int:
     columns = {"t": grid, "concurrence": entanglement.concurrence(traj)}
     if args.with_rho:
         columns["rho"] = traj
-    metadata = {
-        "scenario": "evolve",
-        "gamma0": args.gamma0,
-        "g": args.g,
-        "method": args.method,
-        "grid": {"t_max": t_max, "samples": args.samples},
-    }
-    with _output(args.output) as fp:
-        statefile.write_table(columns, metadata, args.format, fp)
-    return EXIT_OK
+    metadata = {"scenario": "evolve", "gamma0": args.gamma0, "g": args.g, "method": args.method,
+                "grid": {"t_max": t_max, "samples": args.samples}}
+    return functools.partial(statefile.write_table, columns, metadata, args.format)
 
 
-def cmd_asymptotic(args) -> int:
+def cmd_asymptotic(args) -> Writer:
     rho0 = _load_state(args.state, args.seed)
     # the stationary state does not depend on gamma0; asymptotic_state checks g
     rho_as = propagator.asymptotic_state(rho0, args.g)
@@ -112,27 +119,22 @@ def cmd_asymptotic(args) -> int:
     }
     if args.g < 1.0:
         payload["note"] = "uniquely relaxing for g < 1: asymptotic state is ground x ground"
-    with _output(args.output) as fp:
-        if args.format == "json":
-            json.dump(payload, fp, indent=1)
-            fp.write("\n")
+
+    def lines():
+        if args.g == 1.0:
+            yield from (f"alpha = {pars.alpha!r}", f"beta = {pars.beta!r}")
         else:
-            if "alpha" in payload:
-                fp.write(f"alpha = {payload['alpha']!r}\n")
-                fp.write(f"beta = {pars.beta!r}\n")
-            if "note" in payload:
-                fp.write(payload["note"] + "\n")
-            fp.write("rho_as =\n")
-            for row in np.asarray(rho_as):
-                fp.write("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row) + "\n")
-            fp.write(f"concurrence = {payload['concurrence']!r}\n")
-    return EXIT_OK
+            yield payload["note"]
+        yield "rho_as ="
+        for row in rho_as:
+            yield "  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
+        yield f"concurrence = {payload['concurrence']!r}"
+    return _report(args.format, payload, lines)
 
 
-def cmd_concurrence(args) -> int:
-    rho = _load_state(args.state, args.seed)
-    print(repr(entanglement.concurrence(rho)))
-    return EXIT_OK
+def cmd_concurrence(args) -> Writer:
+    c = entanglement.concurrence(_load_state(args.state, args.seed))
+    return _report("text", c, lambda: [repr(c)])
 
 
 def _peak_window(gamma0: float, gamma: float, t_end: float, t_pk: float):
@@ -177,7 +179,7 @@ def _peak_window(gamma0: float, gamma: float, t_end: float, t_pk: float):
         k *= 8
 
 
-def cmd_peak(args) -> int:
+def cmd_peak(args) -> Writer:
     params = ModelParams(gamma0=args.gamma0, g=args.g)
     gamma0, gamma = params.gamma0, params.gamma
     # brute-force verification on a fine grid
@@ -197,14 +199,8 @@ def cmd_peak(args) -> int:
         "residual_t": float(abs(grid[i] - t_pk)),
         "residual_c": float(abs(vals[i] - c_pk)),
     }
-    with _output(args.output) as fp:
-        if args.format == "json":
-            json.dump(payload, fp, indent=1)
-            fp.write("\n")
-        else:
-            for key in ("t_gamma", "c_max", "grid_t", "grid_c", "residual_t", "residual_c"):
-                fp.write(f"{key} = {payload[key]!r}\n")
-    return EXIT_OK
+    keys = ("t_gamma", "c_max", "grid_t", "grid_c", "residual_t", "residual_c")
+    return _report(args.format, payload, lambda: (f"{key} = {payload[key]!r}" for key in keys))
 
 
 def _figure_columns(which: str, params: ModelParams, grid: np.ndarray):
@@ -236,13 +232,11 @@ def _figure_columns(which: str, params: ModelParams, grid: np.ndarray):
     raise ValueError(f"unknown figure {which!r}")
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> Writer:
     params = ModelParams(gamma0=args.gamma0, g=0.99 if args.which == "fig3" else 1.0)
     grid = time_grid(_t_max(args, params), args.samples)
     columns, metadata = _figure_columns(args.which, params, grid)
-    with _output(args.output) as fp:
-        statefile.write_table(columns, metadata, args.format, fp)
-    return EXIT_OK
+    return functools.partial(statefile.write_table, columns, metadata, args.format)
 
 
 def _add_state_arg(p):
@@ -316,7 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        write = args.func(args)
+        # opened once the command has returned, so a failed run leaves --output untouched
+        with _output(getattr(args, "output", None)) as fp:
+            write(fp)
+            fp.flush()
+        return EXIT_OK
     except (StateFileError, qmat.InvalidStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
@@ -332,11 +331,11 @@ def main(argv=None) -> int:
 def entry() -> None:
     try:
         code = main()
-        sys.stdout.flush()
     except OSError as exc:
         # main has turned every failure to read into its own error, so this is
-        # the output: devnull takes the rest of stdout, the final flush included
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the output: devnull takes the rest of stdout, the interpreter's flush included
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: output could not be written: {exc.strerror or exc}", file=sys.stderr)
         code = EXIT_WRITE_FAILED
     sys.exit(code)

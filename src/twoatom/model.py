@@ -83,7 +83,10 @@ def time_grid(t_max: float, samples: int) -> np.ndarray:
         raise ParameterError(f"t_max must be positive and finite, got {t_max}")
     if samples < 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
-    grid = np.linspace(0.0, t_max, samples)
+    try:
+        grid = np.linspace(0.0, t_max, samples)
+    except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
+        raise ParameterError(f"samples={samples} is too many to allocate") from exc
     if np.any(np.diff(grid) <= 0):
         raise ParameterError(f"t_max={t_max} is too small for {samples} distinct times")
     return grid

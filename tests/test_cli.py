@@ -20,6 +20,7 @@ from twoatom.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_WRITE_FAILED,
+    entry,
     main,
 )
 from twoatom.model import ModelParams, ParameterError
@@ -274,6 +275,30 @@ class TestConcurrenceCommand:
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestStateOnStdin:
+    @pytest.mark.parametrize(
+        "command",
+        [["evolve", "--samples", "5", "--with-rho"], ["asymptotic", "--format", "json"],
+         ["concurrence"]],
+        ids=["evolve", "asymptotic", "concurrence"],
+    )
+    def test_stdin_state_matches_file(self, tmp_path, capsys, monkeypatch, command):
+        text = json.dumps({"family": "mes", "params": {"a": 0.3, "theta1": 0.2, "theta2": 0}})
+        path = tmp_path / "mes.json"
+        path.write_text(text)
+        assert main(command + ["--state", str(path)]) == EXIT_OK
+        from_file = capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(command + ["--state", "-"]) == EXIT_OK
+        assert capsys.readouterr() == from_file
+
+    def test_closed_stdin_is_bad_state(self, capsys, monkeypatch):
+        # Python sets sys.stdin to None when file descriptor 0 is closed (<&-)
+        monkeypatch.setattr(sys, "stdin", None)
+        assert main(["concurrence", "--state", "-"]) == EXIT_BAD_STATE
+        assert capsys.readouterr() == ("", "error: stdin is closed\n")
+
+
 class TestFigure:
     def test_fig1_ordering(self, tmp_path):
         out = tmp_path / "fig1.csv"
@@ -430,9 +455,14 @@ class TestExitCodes:
              EXIT_UNSUPPORTED),
             (["evolve", "--state", "STATE", "--g", "0.5", "--samples", "3", "--dt", "1e-18"],
              EXIT_UNSUPPORTED),
+            # none of these grids fits the address space, so no memory is taken
+            (["evolve", "--state", "STATE", "--samples", str(10**15)], EXIT_UNSUPPORTED),
+            (["figure", "fig2", "--samples", str(2**62)], EXIT_UNSUPPORTED),
+            (["evolve", "--state", "STATE", "--samples", str(10**20)], EXIT_UNSUPPORTED),
         ],
         ids=["t-max-inf", "step-too-large", "asymptotic-g-7", "figure-negative-gamma0", "dt-inf",
-             "t-max-below-spacing", "dt-1e-16", "dt-1e-18"],
+             "t-max-below-spacing", "dt-1e-16", "dt-1e-18", "samples-1e15", "samples-2e62",
+             "samples-1e20"],
     )
     def test_bad_parameters_exit_with_one_line(self, eg_state, capsys, argv, code):
         rc = main([eg_state if a == "STATE" else a for a in argv])
@@ -535,6 +565,29 @@ class TestExitCodes:
         assert out == "" and len(err.splitlines()) == 1 and path in err
 
     @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["evolve", "--state", "BAD", "--samples", "3"], EXIT_BAD_STATE),
+            (["evolve", "--state", "STATE", "--samples", "3", "--g", "2"], EXIT_UNSUPPORTED),
+            (["evolve", "--state", "STATE", "--dt", "5", "--t-max", "50", "--samples", "2"],
+             EXIT_NUMERICAL),
+        ],
+        ids=["bad-state", "bad-g", "step-too-large"],
+    )
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
+    def test_failed_run_leaves_output_untouched(self, tmp_path, eg_state, capsys, argv, code,
+                                                exists):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"entries": [[1, 0]]}')
+        out = tmp_path / "out.csv"
+        if exists:
+            out.write_text("keep")
+        argv = [{"STATE": eg_state, "BAD": str(bad)}.get(a, a) for a in argv]
+        assert main(argv + ["--output", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert (out.read_text() == "keep") if exists else not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["evolve", "--state", "STATE", "--gamma0", "1e308"],
@@ -596,6 +649,56 @@ class TestFullDevice:
         assert err == "error: output could not be written: No space left on device\n"
 
 
+_ENTRY_ARGVS = {
+    "evolve": ["evolve", "--state", "random", "--seed", "1", "--samples", "3"],
+    "asymptotic": ["asymptotic", "--state", "random", "--seed", "1"],
+    "concurrence": ["concurrence", "--state", "random", "--seed", "1"],
+    "figure": ["figure", "fig1", "--samples", "3", "--format", "json"],
+    "peak": ["peak", "--g", "0.5"],
+}
+
+
+class TestClosedStdout:
+    """Python sets sys.stdout to None when file descriptor 1 is closed (>&-)."""
+
+    @pytest.mark.parametrize("command", sorted(_ENTRY_ARGVS))
+    def test_closed_stdout_gives_one_error_line(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(sys, "argv", ["twoatom", *_ENTRY_ARGVS[command]])
+        monkeypatch.setattr(sys, "stdout", None)
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == EXIT_WRITE_FAILED
+        assert capsys.readouterr().err == "error: output could not be written: stdout is closed\n"
+
+    @pytest.mark.parametrize("command", ["evolve", "asymptotic", "figure", "peak"])
+    def test_output_file_needs_no_stdout(self, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "out.txt"
+        argv = _ENTRY_ARGVS[command] + ["--output", str(out)]
+        assert main(argv) == EXIT_OK
+        expected = out.read_text()
+        out.unlink()
+        monkeypatch.setattr(sys, "argv", ["twoatom", *argv])
+        monkeypatch.setattr(sys, "stdout", None)
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out.read_text() == expected
+
+    def test_closed_file_descriptor(self, tmp_path):
+        argv, env = _cli_argv_env("concurrence", "--state", "random", "--seed", "1")
+        out = tmp_path / "out.csv"
+        closed = ["sh", "-c", '"$@" >&-', "sh"]
+        proc = subprocess.run(closed + argv, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert proc.returncode == EXIT_WRITE_FAILED
+        assert proc.stderr == b"error: output could not be written: stdout is closed\n"
+        argv, env = _cli_argv_env("evolve", "--state", "random", "--seed", "1", "--samples", "3",
+                                  "--output", str(out))
+        proc = subprocess.run(closed + argv, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert out.read_text().startswith("t,concurrence\n")
+
+
 class TestLargeRates:
     def test_rk4_scheme_is_scale_free(self, eg_state, capsys):
         """gamma0 = 1e20 over t_max = 5e-20 is the gamma0 = 1 scheme at --dt 10:
@@ -625,7 +728,9 @@ _JUNK = st.text(
     max_size=6,
 )
 _FLOAT = st.one_of(st.sampled_from(_STRANGE), st.floats().map(repr), _JUNK)
-_INT = st.one_of(st.sampled_from(_STRANGE), st.integers(-3, 3000).map(str), _JUNK)
+# 10**15 samples (7.11 PiB) exceed any address space, so drawing it allocates nothing
+_INT = st.one_of(st.sampled_from(_STRANGE + ["1000000000000000"]), st.integers(-3, 3000).map(str),
+                 _JUNK)
 _SEED = st.one_of(st.sampled_from(_STRANGE), st.integers().map(str), _JUNK)
 _OPTIONS = {
     "--gamma0": _FLOAT,
