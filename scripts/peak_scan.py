@@ -8,20 +8,22 @@ generates some entanglement.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from twoatom.propagator import c_max, t_gamma
+from twoatom.statefile import write_table
 
 
 def run(gamma0: float, n: int, output) -> None:
-    writer = csv.writer(output, lineterminator="\n")
-    writer.writerow(["g", "t_gamma", "c_max"])
-    for g in np.linspace(0.01, 0.99, n):
-        gamma = g * gamma0
-        writer.writerow([repr(float(g)), repr(t_gamma(gamma0, gamma)), repr(c_max(gamma0, gamma))])
+    gs = np.linspace(0.01, 0.99, n)
+    columns = {
+        "g": gs,
+        "t_gamma": [t_gamma(gamma0, g * gamma0) for g in gs],
+        "c_max": [c_max(gamma0, g * gamma0) for g in gs],
+    }
+    write_table(columns, {}, "csv", output)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ figure       canonical curve files fig1 / fig2 / fig3
 peak         transient-entanglement peak (time, height) for g < 1
 
 Exit codes: 0 success, 2 invalid input state (or a closed stdin for
-``--state -``), 3 unsupported parameter combination or parameter out of
-range (a ``--samples`` too large to allocate included), 4 numerical failure
+``--state -``), 3 a command line the parser rejects, an unsupported parameter
+combination or a parameter out of range (a ``--samples`` too large to
+allocate included), 4 numerical failure
 (RK4 step too large for the rates, eigensolver not converged, computed state
 not PSD), 5 the output could not be written (closed pipe, full device, closed
 stdout), as in ``twoatom evolve ... | head -1`` or ``... > /dev/full``.
@@ -253,13 +254,21 @@ def _add_output_args(p):
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with ``ParameterError`` (exit 3), not a usage block and exit 2."""
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later call.
 
-    Parsing, and the exit of a parse error, leave it unchanged.
+    A rejected command line raises ``ParameterError``; parsing, and that
+    error, leave the parser unchanged.
     """
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="twoatom",
         description="Dissipative dynamics and entanglement of two two-level atoms",
     )
@@ -308,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         write = args.func(args)
         # opened once the command has returned, so a failed run leaves --output untouched
         with _output(getattr(args, "output", None)) as fp:
@@ -319,7 +328,7 @@ def main(argv=None) -> int:
     except (StateFileError, qmat.InvalidStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
-    except (ParameterError, propagator.DegenerateRatesError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (StepTooLargeError, np.linalg.LinAlgError,

@@ -12,7 +12,7 @@ import numpy as np
 from . import qmat
 
 #: sigma_2 x sigma_2, the spin-flip sandwich (real orthogonal symmetric)
-SPIN_FLIP_OP = qmat.kron(qmat.SIGMA_2, qmat.SIGMA_2)
+SPIN_FLIP_OP = np.kron(qmat.SIGMA_2, qmat.SIGMA_2)
 #: SPIN_FLIP_OP is anti-diagonal: SPIN_FLIP_OP @ y == _SPIN_FLIP_SIGN * y[..., ::-1, :]
 _SPIN_FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
@@ -80,21 +80,21 @@ def mes_asymptotic_concurrence(a: float, theta1: float, theta2: float) -> float:
     return float(0.5 * (1.0 - a**2) * (1.0 - np.cos(theta1 - theta2)))
 
 
-def is_ppt_separable(rho: np.ndarray, tol: float = qmat.TOL_STRUCTURAL) -> bool:
-    """Exact 2x2 separability: is the partial transpose still a state?"""
-    return bool(qmat.state_health(qmat.partial_transpose_a(rho))[2][0] >= -tol)
+def is_ppt_separable(rho: np.ndarray) -> bool:
+    """Exact 2x2 separability: no partial-transpose eigenvalue below -qmat.TOL_STRUCTURAL."""
+    return bool(qmat.state_health(qmat.partial_transpose_a(rho))[2][0] >= -qmat.TOL_STRUCTURAL)
 
 
-def entropy_of_entanglement(rho: np.ndarray, purity_tol: float = 1e-9) -> float:
+def entropy_of_entanglement(rho: np.ndarray) -> float:
     """Base-2 von Neumann entropy of the reduced state of a pure rho.
 
-    Raises ``NotPureError`` unless tr(rho^2) >= 1 - purity_tol; the mixed-state
+    Raises ``NotPureError`` unless tr(rho^2) >= 1 - 1e-9; the mixed-state
     extension (minimization over decompositions) is out of scope, use
     :func:`concurrence` instead.
     """
     rho = np.asarray(rho, dtype=complex)
     pur = float(np.trace(rho @ rho).real)
-    if pur < 1.0 - purity_tol:
+    if pur < 1.0 - 1e-9:
         raise NotPureError(f"tr(rho^2) = {pur:.12f} below purity threshold")
     reduced = qmat.partial_trace(rho, "A")
     p = np.clip(qmat.hermitian_eigenvalues(reduced), 0.0, 1.0)

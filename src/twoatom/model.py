@@ -22,10 +22,10 @@ import numpy as np
 
 from . import qmat
 
-SIGMA_MINUS_A = qmat.kron(qmat.SIGMA_MINUS, qmat.IDENTITY_2)
-SIGMA_PLUS_A = qmat.kron(qmat.SIGMA_PLUS, qmat.IDENTITY_2)
-SIGMA_MINUS_B = qmat.kron(qmat.IDENTITY_2, qmat.SIGMA_MINUS)
-SIGMA_PLUS_B = qmat.kron(qmat.IDENTITY_2, qmat.SIGMA_PLUS)
+SIGMA_MINUS_A = np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY_2)
+SIGMA_PLUS_A = np.kron(qmat.SIGMA_PLUS, qmat.IDENTITY_2)
+SIGMA_MINUS_B = np.kron(qmat.IDENTITY_2, qmat.SIGMA_MINUS)
+SIGMA_PLUS_B = np.kron(qmat.IDENTITY_2, qmat.SIGMA_PLUS)
 
 # number-like and exchange-like anticommutator operators, precomputed
 _N_OP = SIGMA_PLUS_A @ SIGMA_MINUS_A + SIGMA_PLUS_B @ SIGMA_MINUS_B
@@ -165,11 +165,11 @@ def integrate(rho0: np.ndarray, params: ModelParams, t: float, step: float = 1e-
 
 
 def _run_plan(t_grid: np.ndarray, step: float):
-    """The RK4 schedule of a checked grid: ``(pairs, pair_of_run, bounds)``.
+    """The RK4 schedule of a checked grid: ``(bounds, whole, rem)``.
 
-    Run r holds samples ``bounds[r]:bounds[r + 1]``, each of them one
-    ``pairs[pair_of_run[r]] = (whole steps, remainder)`` advance on from the
-    sample before it (the first from t = 0).  A run is a maximal stretch of
+    Run r holds samples ``bounds[r]:bounds[r + 1]``, each of them an advance
+    of ``whole[r]`` steps plus a remainder step ``rem[r]`` on from the sample
+    before it (the first from t = 0).  A run is a maximal stretch of
     consecutive gaps that agree within ``8 eps t``, a few ulps of the sample
     time t (the rounding of the times), and it takes the mean of its gaps.
     Should that mean place a sample more than ``8 eps t`` off its grid time
@@ -201,8 +201,7 @@ def _run_plan(t_grid: np.ndarray, step: float):
     rem = mean - whole * step
     # a remainder that is rounding residue of the gap takes no step
     rem[rem <= 1e-12 * mean] = 0.0
-    pairs, pair_of_run = np.unique(np.column_stack([whole, rem]), axis=0, return_inverse=True)
-    return pairs, pair_of_run.ravel(), bounds
+    return bounds, whole, rem
 
 
 def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1e-3) -> np.ndarray:
@@ -217,10 +216,9 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
     spacing acts as the spacing.  A run of equal gaps (:func:`_run_plan`)
     takes their mean, which equals every one of them within a few ulps of
     t; a ``linspace`` grid is at most two runs, its first sample and the
-    rest.  The advance matrix of an interval depends only on its (whole
-    steps, remainder) pair and is built once per distinct pair.  A run is
-    filled by doubling: its first k states times the k-th power of its
-    advance matrix give the next k.
+    rest.  Each run builds its own advance matrix from its (whole steps,
+    remainder) pair and is filled by doubling: its first k states times the
+    k-th power of that matrix give the next k.
 
     One advance matrix for a whole run makes its rounding compound
     coherently, as on any grid of one gap.  On [0, 5] at gamma0 = 1 the
@@ -244,22 +242,21 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
         raise ParameterError(
             f"grid times must be strictly ascending, got t={t_grid[i]} after t={t_grid[i - 1]}"
         )
-    pairs, pair_of_run, bounds = _run_plan(t_grid, step)
+    bounds, whole, rem = _run_plan(t_grid, step)
     lv = liouvillian(params)
     # an unstable step may overflow; the positivity guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
         step_matrix = _rk4_step_matrix(lv, step)
-        advance = []
-        for n, h in pairs:
-            a = np.linalg.matrix_power(step_matrix, int(n))
-            advance.append((_rk4_step_matrix(lv, h) @ a if h > 0 else a).T)
         # rows are row-major vec(rho), so they take the transposed advance from
         # the right: row 0 is rho0, row i + 1 the state at t_grid[i]
         traj = np.empty((len(t_grid) + 1, 16), dtype=complex)
         traj[0] = np.asarray(rho0, dtype=complex).reshape(16)
-        for s, e, k in zip(bounds[:-1], bounds[1:], pair_of_run):
+        for s, e, n, h in zip(bounds[:-1], bounds[1:], whole, rem):
+            power = np.linalg.matrix_power(step_matrix, int(n))
+            if h > 0:
+                power = _rk4_step_matrix(lv, h) @ power
             # rows s .. s + f - 1 are filled; power is the f-th power of the advance
-            power, f = advance[k], 1
+            power, f = power.T, 1
             while f <= e - s:
                 m = min(f, e - s + 1 - f)
                 traj[s + f : s + f + m] = traj[s : s + m] @ power

@@ -41,7 +41,7 @@ _LEVEL_PROJECTORS = np.array([
 ], dtype=complex)
 
 
-class DegenerateRatesError(ValueError):
+class DegenerateRatesError(ParameterError):
     """Peak formulas require 0 < gamma < gamma0 (the peak time diverges otherwise)."""
 
 

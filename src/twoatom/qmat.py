@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Structural tolerance (hermiticity / trace / positivity of states).  Functions
-# take it as a default so tests can override.
+# Structural tolerance (hermiticity / trace / positivity of states): the slack of
+# the Hermitian and PSD checks, of the PPT test and of the RK4 positivity guard,
+# and the default of validate_state(atol).
 TOL_STRUCTURAL = 1e-9
 
 #: single-atom basis kets, |1> excited, |0> ground
@@ -62,11 +63,6 @@ def dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in the fixed basis order (atom A slot first)."""
-    return np.kron(a, b)
-
-
 def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
     """Trace out one atom, returning the 2x2 reduced state of the other.
 
@@ -91,38 +87,38 @@ def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
     return r.transpose(2, 1, 0, 3).reshape(4, 4)
 
 
-def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
-    """Hermitian part of ``m``; ``NotHermitianError`` unless its defect is at most ``tol``."""
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """Hermitian part of ``m``; ``NotHermitianError`` for a defect above TOL_STRUCTURAL."""
     m = np.asarray(m, dtype=complex)
     h = dag(m)
     # inf - inf and overflow make the defect NaN or inf, which fails the check
     with np.errstate(over="ignore", invalid="ignore"):
         defect = abs(m - h).max()
-    if not defect <= tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    if not defect <= TOL_STRUCTURAL:
+        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
     return 0.5 * m + 0.5 * h
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, sorted descending.
 
-    Raises ``NotHermitianError`` if ``m`` is not Hermitian within ``tol``.
+    Raises ``NotHermitianError`` if ``m`` is not Hermitian within TOL_STRUCTURAL.
     """
-    return np.linalg.eigvalsh(_hermitian_part(m, tol))[..., ::-1]
+    return np.linalg.eigvalsh(_hermitian_part(m))[..., ::-1]
 
 
-def _psd_eigh(m: np.ndarray, tol: float = TOL_STRUCTURAL) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(w, v)`` of a PSD matrix, or of each in a stack.
 
-    ``w`` is ascending with eigenvalues in [-tol, 0) clamped to zero, and
-    ``v`` holds the eigenvectors as columns.  Raises ``NotHermitianError``
-    for a hermiticity defect above ``tol`` and ``NotPSDError`` for an
-    eigenvalue below -tol.
+    ``w`` is ascending with eigenvalues in [-TOL_STRUCTURAL, 0) clamped to
+    zero, and ``v`` holds the eigenvectors as columns.  Raises
+    ``NotHermitianError`` for a hermiticity defect above TOL_STRUCTURAL and
+    ``NotPSDError`` for an eigenvalue below -TOL_STRUCTURAL.
     """
-    w, v = np.linalg.eigh(_hermitian_part(m, tol))
+    w, v = np.linalg.eigh(_hermitian_part(m))
     min_eig = w[..., 0].min()
-    if min_eig < -tol:
-        raise NotPSDError(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
+    if min_eig < -TOL_STRUCTURAL:
+        raise NotPSDError(f"minimum eigenvalue {min_eig:.3e} below -{TOL_STRUCTURAL:.1e}")
     return np.where(w < 0.0, 0.0, w), v
 
 

@@ -13,10 +13,6 @@ from . import qmat
 BELL_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
 
-class InvalidWeightsError(ValueError):
-    """Bell-diagonal weights must be a probability vector."""
-
-
 def _check_normalized(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(2)
     norm2 = float(np.vdot(v, v).real)
@@ -29,7 +25,7 @@ def product_state(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Projector onto psi x phi (atom A in psi, atom B in phi)."""
     psi = _check_normalized(psi, "psi")
     phi = _check_normalized(phi, "phi")
-    vec = qmat.kron(psi, phi)
+    vec = np.kron(psi, phi)
     return np.outer(vec, vec.conj())
 
 
@@ -38,13 +34,13 @@ def bell_vector(which: str) -> np.ndarray:
     e = qmat.EXCITED
     g = qmat.GROUND
     if which == "phi_plus":
-        v = qmat.kron(g, g) + qmat.kron(e, e)
+        v = np.kron(g, g) + np.kron(e, e)
     elif which == "phi_minus":
-        v = qmat.kron(g, g) - qmat.kron(e, e)
+        v = np.kron(g, g) - np.kron(e, e)
     elif which == "psi_plus":
-        v = qmat.kron(e, g) + qmat.kron(g, e)
+        v = np.kron(e, g) + np.kron(g, e)
     elif which == "psi_minus":
-        v = qmat.kron(e, g) - qmat.kron(g, e)
+        v = np.kron(e, g) - np.kron(g, e)
     else:
         raise ValueError(f"unknown Bell state {which!r}; expected one of {BELL_NAMES}")
     return v / np.sqrt(2.0)
@@ -93,7 +89,7 @@ def bell_diagonal(p1: float, p2: float, p3: float, p4: float) -> np.ndarray:
     """Convex mixture p1 phi+ + p2 phi- + p3 psi+ + p4 psi-."""
     p = np.array([p1, p2, p3, p4], dtype=float)
     if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
-        raise InvalidWeightsError(f"weights must be a probability vector, got {p.tolist()}")
+        raise ValueError(f"weights must be a probability vector, got {p.tolist()}")
     rho = np.zeros((4, 4), dtype=complex)
     for w, name in zip(p, BELL_NAMES):
         rho += w * bell(name)

@@ -215,7 +215,7 @@ def test_criterion_8_property_suite():
     gen = np.random.default_rng(1010)
     unitary_ok = True
     for rho in random_states(1011, 100):
-        u = qmat.kron(random_single_qubit_unitary(gen), random_single_qubit_unitary(gen))
+        u = np.kron(random_single_qubit_unitary(gen), random_single_qubit_unitary(gen))
         if abs(concurrence(u @ rho @ u.conj().T) - concurrence(rho)) > 1e-9:
             unitary_ok = False
     details.append(f"local-unitary invariance {unitary_ok}")

@@ -374,7 +374,7 @@ def _full_grid_peak(gamma0_arg, g_arg):
         grid = np.arange(0.0, t_end, 1e-4 / gamma0)
         vals = np.exp(-gamma0 * grid) * np.sinh(gamma * grid)
         i = int(np.argmax(vals))
-    except (ParameterError, propagator.DegenerateRatesError) as exc:
+    except ParameterError as exc:
         return EXIT_UNSUPPORTED, {"csv": "", "json": ""}, f"error: {exc}\n"
     payload = {
         "gamma0": gamma0,
@@ -459,10 +459,13 @@ class TestExitCodes:
             (["evolve", "--state", "STATE", "--samples", str(10**15)], EXIT_UNSUPPORTED),
             (["figure", "fig2", "--samples", str(2**62)], EXIT_UNSUPPORTED),
             (["evolve", "--state", "STATE", "--samples", str(10**20)], EXIT_UNSUPPORTED),
+            # command lines the parser rejects
+            ([], EXIT_UNSUPPORTED),
+            (["peak", "--g", "0.5", "--bogus"], EXIT_UNSUPPORTED),
         ],
         ids=["t-max-inf", "step-too-large", "asymptotic-g-7", "figure-negative-gamma0", "dt-inf",
              "t-max-below-spacing", "dt-1e-16", "dt-1e-18", "samples-1e15", "samples-2e62",
-             "samples-1e20"],
+             "samples-1e20", "no-command", "unknown-flag"],
     )
     def test_bad_parameters_exit_with_one_line(self, eg_state, capsys, argv, code):
         rc = main([eg_state if a == "STATE" else a for a in argv])
@@ -471,6 +474,17 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_rejected_command_line_names_the_subcommand(self, capsys):
+        assert main(["evolve", "--state", "random", "--samples", "abc"]) == EXIT_UNSUPPORTED
+        err = "error: twoatom evolve: argument --samples: invalid int value: 'abc'\n"
+        assert capsys.readouterr() == ("", err)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: twoatom evolve")
 
     def test_negative_eigenvalue_below_measure_tolerance_exits_4(self, tmp_path, capsys):
         """RK4 at this step leaves an eigenvalue of -7e-7 at t = 5, below what
@@ -813,10 +827,7 @@ def _argv(draw, base):
 def _call(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = ("parse", exc.code)
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -824,14 +835,11 @@ class TestArgvFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_every_argv_ends_in_a_documented_exit(self, fuzz_dir, fresh_probe_output, data):
-        """Any argv ends in a documented exit code with one error line, or in an
-        argparse usage error; the shared parser serves later calls unchanged."""
+        """Any argv, one the parser rejects included, ends in a documented exit
+        code with one error line; the shared parser serves later calls unchanged."""
         argv = data.draw(_argv(fuzz_dir))
         code, out, err = _call(argv)
-        if code == ("parse", 2):
-            assert "Traceback" not in err
-            assert _call(_PROBE) == (EXIT_OK, fresh_probe_output, "")
-            return
         assert code in (EXIT_OK, EXIT_BAD_STATE, EXIT_UNSUPPORTED, EXIT_NUMERICAL)
         if code != EXIT_OK:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert _call(_PROBE) == (EXIT_OK, fresh_probe_output, "")

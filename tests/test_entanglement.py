@@ -194,7 +194,7 @@ class TestAgreementProperties:
 
     def test_local_unitary_invariance(self, rng):
         for rho in random_states(53, 100):
-            u = qmat.kron(
+            u = np.kron(
                 random_single_qubit_unitary(rng),
                 random_single_qubit_unitary(rng),
             )
@@ -260,7 +260,7 @@ def _sandwich_lambdas(rho):
     w, v = np.linalg.eigh(h)
     s = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ qmat.dag(v)
     s = 0.5 * (s + qmat.dag(s))
-    flip = qmat.kron(qmat.SIGMA_2, qmat.SIGMA_2)
+    flip = np.kron(qmat.SIGMA_2, qmat.SIGMA_2)
     return np.linalg.svd(s @ flip @ s.conj(), compute_uv=False)
 
 

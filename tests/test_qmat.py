@@ -10,7 +10,6 @@ from twoatom.qmat import (
     NotHermitianError,
     NotPSDError,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
     partial_transpose_a,
     state_health,
@@ -35,18 +34,18 @@ def _rand_state2(rng):
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(I2, I2), I4)
+        assert np.array_equal(np.kron(I2, I2), I4)
 
     def test_projector_onto_e1(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        assert np.array_equal(kron(p, p), np.diag([1.0, 0, 0, 0]).astype(complex))
+        assert np.array_equal(np.kron(p, p), np.diag([1.0, 0, 0, 0]).astype(complex))
 
     def test_sigma_plus_on_atom_a(self):
         # |1><0| x I lifts e3 -> e1 and e4 -> e2: ones at (1,3) and (2,4)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 2] = 1.0
         expected[1, 3] = 1.0
-        assert np.array_equal(kron(qmat.SIGMA_PLUS, I2), expected)
+        assert np.array_equal(np.kron(qmat.SIGMA_PLUS, I2), expected)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -54,23 +53,23 @@ class TestKron:
         rng = np.random.default_rng(seed)
         a, b, c = (_rand_mat2(rng) for _ in range(3))
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        assert np.allclose(kron(a + lam * b, c), kron(a, c) + lam * kron(b, c), atol=1e-12)
-        assert np.allclose(kron(c, a + lam * b), kron(c, a) + lam * kron(c, b), atol=1e-12)
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
+        assert np.allclose(np.kron(a + lam * b, c), np.kron(a, c) + lam * np.kron(b, c), atol=1e-12)
+        assert np.allclose(np.kron(c, a + lam * b), np.kron(c, a) + lam * np.kron(c, b), atol=1e-12)
+        assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
 
 class TestPartialTrace:
     def test_product_state_leaves_other_factor(self, rng):
         rho_a, rho_b = _rand_state2(rng), _rand_state2(rng)
-        assert np.allclose(partial_trace(kron(rho_a, rho_b), "A"), rho_b, atol=1e-12)
-        assert np.allclose(partial_trace(kron(rho_a, rho_b), "B"), rho_a, atol=1e-12)
+        assert np.allclose(partial_trace(np.kron(rho_a, rho_b), "A"), rho_b, atol=1e-12)
+        assert np.allclose(partial_trace(np.kron(rho_a, rho_b), "B"), rho_a, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_product_scales_with_trace(self, seed):
         rng = np.random.default_rng(seed)
         a, b = _rand_mat2(rng), _rand_mat2(rng)
-        assert np.allclose(partial_trace(kron(a, b), "A"), np.trace(a) * b, atol=1e-12)
+        assert np.allclose(partial_trace(np.kron(a, b), "A"), np.trace(a) * b, atol=1e-12)
 
     def test_singlet_reduces_to_maximally_mixed(self):
         v = np.zeros(4, dtype=complex)
@@ -80,7 +79,7 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(rho, "A"), I2 / 2, atol=1e-12)
 
     def test_ground_ground(self):
-        rho = kron(np.diag([0.0, 1.0]), np.diag([0.0, 1.0])).astype(complex)
+        rho = np.kron(np.diag([0.0, 1.0]), np.diag([0.0, 1.0])).astype(complex)
         assert np.allclose(partial_trace(rho, "B"), np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_reduced_state_is_a_state(self, rng):
@@ -102,8 +101,8 @@ class TestPartialTranspose:
     def test_real_product_state_fixed(self, rng):
         rho_a = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
         rho_b = _rand_state2(rng)
-        rho = kron(rho_a, rho_b)
-        assert np.allclose(partial_transpose_a(rho), kron(rho_a.T, rho_b), atol=1e-14)
+        rho = np.kron(rho_a, rho_b)
+        assert np.allclose(partial_transpose_a(rho), np.kron(rho_a.T, rho_b), atol=1e-14)
 
     def test_singlet_negative_eigenvalue(self):
         # brute-force diagonalization of the transposed Bell projector

@@ -112,6 +112,18 @@ class TestTimeSeries:
         write_table({"t": [0.0, 0.5], "concurrence": [0.0, 0.25]}, {}, "csv", buf)
         assert buf.getvalue() == "t,concurrence\n0.0,0.0\n0.5,0.25\n"
 
+    def test_csv_non_finite_spelling(self):
+        """CSV spells non-finite floats as Python's repr does, not as JSON does."""
+        buf = io.StringIO()
+        rho = np.zeros((1, 4, 4), dtype=complex)
+        rho[0, 0, 1] = complex(np.nan, -np.inf)
+        write_table({"c": [np.nan, np.inf, -np.inf], "rho": np.repeat(rho, 3, axis=0)}, {}, "csv",
+                    buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert [row.split(",")[:5] for row in rows] == [
+            [c, "0.0", "0.0", "nan", "-inf"] for c in ("nan", "inf", "-inf")
+        ]
+
     def test_csv_with_states(self):
         rho = np.zeros((1, 4, 4), dtype=complex)
         rho[0, 0, 0] = 0.1

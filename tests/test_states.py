@@ -8,7 +8,6 @@ from twoatom.model import ModelParams
 from twoatom.propagator import asymptotic_params, evolve
 from twoatom.states import (
     BELL_NAMES,
-    InvalidWeightsError,
     bell,
     bell_diagonal,
     mems,
@@ -155,15 +154,15 @@ class TestBellDiagonal:
         assert entanglement.concurrence(rho) == pytest.approx(0.2, abs=1e-12)
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(InvalidWeightsError):
+        with pytest.raises(ValueError, match="probability vector"):
             bell_diagonal(0.5, 0.5, 0.5, -0.5)
-        with pytest.raises(InvalidWeightsError):
+        with pytest.raises(ValueError, match="probability vector"):
             bell_diagonal(0.3, 0.3, 0.3, 0.2)
 
     @pytest.mark.parametrize("weights", [(np.nan, 0.5, 0.5, 0.0), (0.5, 0.5, 0.0, np.nan),
                                          (np.nan,) * 4])
     def test_rejects_non_finite_weights(self, weights):
-        with pytest.raises(InvalidWeightsError):
+        with pytest.raises(ValueError, match="probability vector"):
             bell_diagonal(*weights)
 
 
