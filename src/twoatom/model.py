@@ -138,19 +138,13 @@ def _check_positivity(traj: np.ndarray, t_grid: np.ndarray) -> None:
     """Raise at the first time whose state has an eigenvalue below -qmat.TOL_STRUCTURAL.
 
     That is the slack the entanglement measures accept, so a trajectory that
-    passes here can be measured.  A finite trajectory whose every state
-    shifted by TOL_STRUCTURAL * I has a Cholesky factor passes at once: the
-    shift is positive definite exactly when the minimum eigenvalue exceeds
-    -TOL_STRUCTURAL, up to rounding at the threshold (it reads the lower
-    triangle only).  Otherwise the spectra of qmat.state_health name the first bad time.
+    passes here can be measured.  The check is qmat's stacked Cholesky test
+    (:func:`qmat._psd_min_eigenvalues`); a trajectory that fails it has its
+    spectra computed, and they name the first bad time.
     """
-    if np.isfinite(traj).all():
-        try:
-            np.linalg.cholesky(traj + qmat.TOL_STRUCTURAL * qmat.IDENTITY_4)
-            return
-        except np.linalg.LinAlgError:
-            pass
-    min_eig = qmat.state_health(traj)[2][:, 0]
+    min_eig = qmat._psd_min_eigenvalues(traj)
+    if min_eig is None:
+        return
     bad = np.flatnonzero(~(min_eig >= -qmat.TOL_STRUCTURAL))
     if bad.size:
         i = bad[0]
@@ -216,9 +210,10 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
     spacing acts as the spacing.  A run of equal gaps (:func:`_run_plan`)
     takes their mean, which equals every one of them within a few ulps of
     t; a ``linspace`` grid is at most two runs, its first sample and the
-    rest.  Each run builds its own advance matrix from its (whole steps,
-    remainder) pair and is filled by doubling: its first k states times the
-    k-th power of that matrix give the next k.
+    rest.  Each run takes the advance matrix of its (whole steps, remainder)
+    pair, built once per distinct pair in the call, and is filled by
+    doubling: its first k states times the k-th power of that matrix give
+    the next k.
 
     One advance matrix for a whole run makes its rounding compound
     coherently, as on any grid of one gap.  On [0, 5] at gamma0 = 1 the
@@ -251,12 +246,17 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
         # the right: row 0 is rho0, row i + 1 the state at t_grid[i]
         traj = np.empty((len(t_grid) + 1, 16), dtype=complex)
         traj[0] = np.asarray(rho0, dtype=complex).reshape(16)
+        # runs of one sample on a drifting grid repeat a few (whole, rem) pairs
+        advances = {}
         for s, e, n, h in zip(bounds[:-1], bounds[1:], whole, rem):
-            power = np.linalg.matrix_power(step_matrix, int(n))
-            if h > 0:
-                power = _rk4_step_matrix(lv, h) @ power
+            power = advances.get((n, h))
+            if power is None:
+                power = np.linalg.matrix_power(step_matrix, int(n))
+                if h > 0:
+                    power = _rk4_step_matrix(lv, h) @ power
+                power = advances[n, h] = power.T
             # rows s .. s + f - 1 are filled; power is the f-th power of the advance
-            power, f = power.T, 1
+            f = 1
             while f <= e - s:
                 m = min(f, e - s + 1 - f)
                 traj[s + f : s + f + m] = traj[s : s + m] @ power

@@ -94,8 +94,9 @@ def evolve(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     An array ``t`` of shape S gives S + (4, 4) stacked states, a scalar one 4x4.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < np.inf)):
-        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+    bad = ~((t >= 0) & (t < np.inf))
+    if bad.any():
+        raise ParameterError(f"t must be nonnegative and finite, got {t[bad][0]}")
     G = _level_rates(params)
     rate = 0.5 * (G[:, None] + G)
     r = _dicke(rho0)

@@ -346,6 +346,19 @@ class TestRunPlan:
                 deviation = evolve_series(rho, params, grid) - propagator.evolve(rho, params, grid)
                 assert np.abs(deviation).max() <= bound
 
+    def test_drifting_grid_builds_each_advance_once(self, monkeypatch):
+        """Runs of one sample that repeat a (whole, rem) pair share its advance."""
+        i = np.arange(1, 2001)
+        grid = 2e-3 * i * (1 + 1e-14 * i)
+        bounds, whole, rem = _run_plan(grid, 1e-3)
+        pairs = len(set(zip(whole, rem)))
+        assert (len(bounds) - 1, pairs) == (1999, 416)
+        builds = []
+        power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda m, n: builds.append(n) or power(m, n))
+        evolve_series(random_states(89, 1)[0], ModelParams(1.0, 0.7), grid)
+        assert len(builds) == pairs
+
 
 class TestSemigroupProperties:
     def test_composition(self):

@@ -120,6 +120,13 @@ class TestEvolve:
         with pytest.raises(ParameterError):
             evolve(EXCITED_GROUND, P_G1, [0.0, bad])
 
+    def test_bad_time_error_names_the_first_one(self):
+        times = np.linspace(0.0, 5.0, 301)
+        times[[120, 200]] = np.nan, -1.0
+        with pytest.raises(ParameterError) as info:
+            evolve(EXCITED_GROUND, P_G1, times)
+        assert str(info.value) == "t must be nonnegative and finite, got nan"
+
 
 def _imports(module: str) -> set:
     """(from, name) pairs of the imports in twoatom/<module>.py; ``from`` is None

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom import qmat
-from twoatom.entanglement import concurrence
+from twoatom.entanglement import concurrence, wootters_lambdas
+from twoatom.model import ModelParams, evolve_series, time_grid
+from twoatom.states import mes
 from twoatom.qmat import (
     InvalidStateError,
     NotHermitianError,
@@ -181,6 +183,54 @@ class TestPsdEigh:
             m[place] = bad
             with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
                 concurrence(m)
+
+
+def _rank_k_stack(seed, k, n):
+    a = np.random.default_rng(seed).standard_normal((n, 4, k, 2)).view(complex)[..., 0]
+    rho = a @ qmat.dag(a)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+class TestPsdFactor:
+    """The stacked pivoted-Cholesky factor rejects what _psd_eigh rejects and
+    factors what it accepts."""
+
+    def test_one_indefinite_state_in_a_stack(self):
+        stack = np.array(random_states(91, 5))
+        stack[3] = np.diag([1.0, 1.0, 1.0, -0.5])
+        with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -5.000e-01 below -1.0e-09$"):
+            concurrence(stack)
+
+    @pytest.mark.parametrize(
+        "place,bad,defect",
+        [((0, 3), np.nan, "nan"), ((1, 1), np.inf, "nan"), ((0, 1), 1.0, r"1.000e\+00")],
+    )
+    def test_non_hermitian_state_in_a_stack(self, place, bad, defect):
+        stack = np.array(random_states(92, 5))
+        stack[2] = I4 / 4
+        stack[(2,) + place] = bad
+        with pytest.raises(NotHermitianError, match=rf"^hermiticity defect {defect} exceeds"):
+            concurrence(stack)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_factor_reproduces_the_hermitian_part(self, rank):
+        stack = _rank_k_stack(93 + rank, rank, 300)
+        x = qmat._psd_factor(stack)
+        assert x.shape == stack.shape
+        assert np.abs(x @ qmat.dag(x) - qmat._hermitian_part(stack)).max() <= 1e-14
+
+    def test_keeps_a_tiny_eigenvalue_that_moves_the_concurrence(self):
+        """On this trajectory a state has eigenvalues 3.5e-15 and 1.9e-8; a
+        factor that drops the first moves its concurrence by 1e-7."""
+        traj = evolve_series(mes(0.007, 3.53, 2.78), ModelParams(1.0, 0.99), time_grid(5.0, 2001))
+        single = [concurrence(rho) for rho in traj]
+        assert np.abs(concurrence(traj) - single).max() <= 1e-8
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_stack_of_one_matches_the_single_state(self, rank):
+        for rho in _rank_k_stack(97 + rank, rank, 50):
+            single = wootters_lambdas(rho)
+            assert np.abs(wootters_lambdas(rho[None])[0] - single).max() <= 1e-14
 
 
 class TestValidateState:
