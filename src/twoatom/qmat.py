@@ -93,7 +93,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     h = dag(m)
     # inf - inf and overflow make the defect NaN or inf, which fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = abs(m - h).max()
+        defect = abs(m - h).max(initial=0.0)
     if not defect <= TOL_STRUCTURAL:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
     return 0.5 * m + 0.5 * h

@@ -17,6 +17,9 @@ psi_minus), ``mes`` (``a``, ``theta1``, ``theta2``), ``bell_diagonal``
 (``p``: 4 weights), ``werner`` (``p``), ``mems`` (``delta``), ``basis``
 (``a``, ``b``: each "excited" or "ground").
 
+JSON ``true`` and ``false`` are accepted where a number is expected, and
+read as 1 and 0 (``complex(0, True)`` is ``1j``).
+
 Floats are serialized with Python's shortest round-trip repr, so a state
 written and re-read is bit-identical.
 """
@@ -50,37 +53,34 @@ def _complexes(pairs, n: int, name: str) -> np.ndarray:
     return v
 
 
-def _from_family(family: str, params: dict) -> np.ndarray:
+_FAMILIES = {
+    "product": lambda p: states.product_state(
+        _complexes(p["psi"], 2, "psi"), _complexes(p["phi"], 2, "phi")
+    ),
+    "bell": lambda p: states.bell(p["which"]),
+    "mes": lambda p: states.mes(p["a"], p["theta1"], p["theta2"]),
+    "bell_diagonal": lambda p: states.bell_diagonal(*p["p"]),
+    "werner": lambda p: states.werner(p["p"]),
+    "mems": lambda p: states.mems(p["delta"]),
+    "basis": lambda p: states.product_state(_KET[p["a"]], _KET[p["b"]]),
+}
+# a KeyError is a missing parameter, unless the family names its own message
+_KEY_ERROR = {"basis": "basis params 'a' and 'b' must be 'excited' or 'ground'"}
+
+
+def _from_family(family, params) -> np.ndarray:
+    build = _FAMILIES.get(family) if isinstance(family, str) else None
+    if build is None:
+        raise StateFileError(f"unknown state family {family!r}")
     try:
-        if family == "product":
-            return states.product_state(
-                _complexes(params["psi"], 2, "psi"), _complexes(params["phi"], 2, "phi")
-            )
-        if family == "bell":
-            return states.bell(params["which"])
-        if family == "mes":
-            return states.mes(params["a"], params["theta1"], params["theta2"])
-        if family == "bell_diagonal":
-            return states.bell_diagonal(*params["p"])
-        if family == "werner":
-            return states.werner(params["p"])
-        if family == "mems":
-            return states.mems(params["delta"])
-        if family == "basis":
-            try:
-                ka, kb = _KET[params["a"]], _KET[params["b"]]
-            except KeyError as exc:
-                raise StateFileError(
-                    "basis params 'a' and 'b' must be 'excited' or 'ground'"
-                ) from exc
-            return states.product_state(ka, kb)
+        return build(params)
     except KeyError as exc:
-        raise StateFileError(f"family {family!r} is missing parameter {exc}") from exc
+        message = _KEY_ERROR.get(family, f"family {family!r} is missing parameter {exc}")
+        raise StateFileError(message) from exc
+    except StateFileError:  # the product kets' own message
+        raise
     except (ValueError, TypeError, OverflowError) as exc:
-        if isinstance(exc, StateFileError):
-            raise
         raise StateFileError(f"bad parameters for family {family!r}: {exc}") from exc
-    raise StateFileError(f"unknown state family {family!r}")
 
 
 def parse_state(obj: dict) -> np.ndarray:
@@ -97,10 +97,12 @@ def parse_state(obj: dict) -> np.ndarray:
 
 
 def load_state(fp) -> np.ndarray:
-    """Parse a state file from an open text stream."""
+    """Parse a state file from an open text stream.  The one place where decoding
+    fails: text that is not JSON, bytes the stream cannot decode and nesting past
+    the recursion limit raise ``StateFileError``."""
     try:
         obj = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise StateFileError(f"not valid JSON: {exc}") from exc
     return parse_state(obj)
 

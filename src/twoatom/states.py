@@ -10,7 +10,13 @@ import numpy as np
 
 from . import qmat
 
-BELL_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+_BELL_KETS = {  # in the basis |11>, |10>, |01>, |00>
+    "phi_plus": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
+    "phi_minus": np.array([-1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
+    "psi_plus": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0),
+    "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0),
+}
+BELL_NAMES = tuple(_BELL_KETS)
 
 
 def _check_normalized(v: np.ndarray, name: str) -> np.ndarray:
@@ -31,19 +37,10 @@ def product_state(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def bell_vector(which: str) -> np.ndarray:
     """Bell ket: phi_pm = (|00> +- |11>)/sqrt2, psi_pm = (|10> +- |01>)/sqrt2."""
-    e = qmat.EXCITED
-    g = qmat.GROUND
-    if which == "phi_plus":
-        v = np.kron(g, g) + np.kron(e, e)
-    elif which == "phi_minus":
-        v = np.kron(g, g) - np.kron(e, e)
-    elif which == "psi_plus":
-        v = np.kron(e, g) + np.kron(g, e)
-    elif which == "psi_minus":
-        v = np.kron(e, g) - np.kron(g, e)
-    else:
+    # a tuple test, not a dict one, so that an unhashable name is unknown too
+    if which not in BELL_NAMES:
         raise ValueError(f"unknown Bell state {which!r}; expected one of {BELL_NAMES}")
-    return v / np.sqrt(2.0)
+    return _BELL_KETS[which].copy()
 
 
 def bell(which: str) -> np.ndarray:
@@ -88,12 +85,10 @@ def mes(a: float, theta1: float, theta2: float) -> np.ndarray:
 def bell_diagonal(p1: float, p2: float, p3: float, p4: float) -> np.ndarray:
     """Convex mixture p1 phi+ + p2 phi- + p3 psi+ + p4 psi-."""
     p = np.array([p1, p2, p3, p4], dtype=float)
-    if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
-        raise ValueError(f"weights must be a probability vector, got {p.tolist()}")
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, name in zip(p, BELL_NAMES):
-        rho += w * bell(name)
-    return rho
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which fails the check
+        if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
+            raise ValueError(f"weights must be a probability vector, got {p.tolist()}")
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(p, _BELL_KETS.values()))
 
 
 def werner(p: float) -> np.ndarray:
@@ -111,7 +106,7 @@ def mems_h(delta):
     """
     delta = np.asarray(delta, dtype=float)
     if not np.all((0.0 <= delta) & (delta <= 1.0)):
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+        raise ValueError(f"delta must lie in [0, 1], got {delta.tolist()}")
     h = np.where(delta <= 2.0 / 3.0, 1.0 / 3.0, delta / 2.0)
     return h if h.ndim else float(h)
 

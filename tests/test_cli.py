@@ -299,6 +299,37 @@ class TestStateOnStdin:
         assert capsys.readouterr() == ("", "error: stdin is closed\n")
 
 
+def _strict_stdin(data: bytes):
+    """stdin that decodes UTF-8 strictly, as under PYTHONIOENCODING=utf-8."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+_DEEP = "[" * 1000 + "]" * 1000
+# past the recursion limit below a test's frames; with fewer frames, a bad p
+_DEEP_PARAM = '{"family": "werner", "params": {"p": ' + "[" * 985 + "]" * 985 + "}}"
+
+
+class TestUndecodableState:
+    """A state file that cannot be read as JSON exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "data", [_DEEP.encode(), b"\xff\xfe{}", _DEEP_PARAM.encode()],
+        ids=["nested-1000", "not-utf8", "param-nested-985"],
+    )
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, data, source):
+        if source == "file":
+            path = tmp_path / "state.json"
+            path.write_bytes(data)
+            state = str(path)
+        else:
+            monkeypatch.setattr(sys, "stdin", _strict_stdin(data))
+            state = "-"
+        assert main(["concurrence", "--state", state]) == EXIT_BAD_STATE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestFigure:
     def test_fig1_ordering(self, tmp_path):
         out = tmp_path / "fig1.csv"
@@ -564,6 +595,19 @@ class TestExitCodes:
         assert rc == EXIT_BAD_STATE
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and detail in err
+
+    @pytest.mark.parametrize(
+        "params,detail",
+        [({"family": "mems", "params": {"delta": [[2, 2], [2, 2]]}}, "[[2.0, 2.0], [2.0, 2.0]]"),
+         ({"family": "bell_diagonal", "params": {"p": [1e308] * 4}}, "probability vector")],
+        ids=["mems-delta-matrix", "bell-diagonal-p-overflow"],
+    )
+    def test_bad_family_parameter_is_one_line(self, tmp_path, capsys, params, detail):
+        # a numpy array printed across lines, or a warning, would add a line
+        rc = main(["concurrence", "--state", _write_state(tmp_path, "s.json", params)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_BAD_STATE
+        assert out == "" and len(err.splitlines()) == 1 and detail in err
 
     def test_unreadable_state_is_bad_state(self, tmp_path, capsys):
         assert main(["concurrence", "--state", str(tmp_path)]) == EXIT_BAD_STATE
@@ -843,3 +887,132 @@ class TestArgvFuzz:
         if code != EXIT_OK:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert _call(_PROBE) == (EXIT_OK, fresh_probe_output, "")
+
+
+# what a state file may hold where a number belongs: numbers a float cannot
+# hold, an int past the 4,300 digits int() reads, and JSON's other literals
+_STATE_NUMBER = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "0.25", "-0.0", "1e308", "-1e308", "1e400", "-1e400",
+                     "5e-324", "NaN", "Infinity", _HUGE_INT, "9" * 5000, "true", "false",
+                     "null"]),
+    st.floats(-2, 2).map(repr),
+    st.floats().map(repr),
+)
+_STATE_KEYS = ["entries", "family", "params", "psi", "phi", "which", "a", "b", "theta1",
+               "theta2", "p", "delta"]
+# each family's params with a value that makes a state, and a family that does not exist
+_FAMILY_PARAMS = {
+    "product": {"psi": "[[0.6, 0], [0, 0.8]]", "phi": "[[1, 0], [0, 0]]"},
+    "bell": {"which": '"psi_minus"'},
+    "mes": {"a": "0.3", "theta1": "-0.0", "theta2": "2"},
+    "bell_diagonal": {"p": "[0.25, 0.25, 0.5, 0]"},
+    "werner": {"p": "0.5"},
+    "mems": {"delta": "0.9"},
+    "basis": {"a": '"excited"', "b": '"ground"'},
+    "ghz": {},
+}
+
+
+def _json_list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def _json_object(pairs):
+    """An object from (key, JSON text of the value) pairs; a key may repeat."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+_STATE_WORD = st.one_of(
+    st.sampled_from(list(_FAMILY_PARAMS) + _STATE_KEYS + ["phi_plus", "psi_minus", "excited",
+                                                          "ground"]),
+    st.text(max_size=3),
+).map(json.dumps)
+_STATE_TREE = st.recursive(
+    _STATE_NUMBER | _STATE_WORD,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(_json_list),
+        st.lists(st.tuples(st.sampled_from(_STATE_KEYS), inner), max_size=3).map(_json_object),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _nested(draw):
+    """A value inside up to 3,000 levels of lists or objects."""
+    depth = draw(st.integers(1, 3000))
+    inner = draw(_STATE_TREE)
+    if draw(st.booleans()):
+        return "[" * depth + inner + "]" * depth
+    return '{"p": ' * depth + inner + "}" * depth
+
+
+_STATE_PARAM = st.one_of(
+    _STATE_NUMBER,
+    _STATE_WORD,
+    st.lists(_STATE_NUMBER, min_size=1, max_size=5).map(_json_list),
+    st.lists(st.lists(_STATE_NUMBER, min_size=2, max_size=2).map(_json_list),
+             min_size=2, max_size=2).map(_json_list),
+    _STATE_TREE,
+    _nested(),
+)
+
+
+@st.composite
+def _state_text(draw):
+    """A family with drawn params, the maximally mixed entries with drawn cells, or any value."""
+    kind = draw(st.sampled_from(["family"] * 4 + ["entries"] * 3 + ["value"]))
+    if kind == "family":
+        family = draw(st.sampled_from(list(_FAMILY_PARAMS)))
+        params = [(k, draw(st.just(valid) | _STATE_PARAM))
+                  for k, valid in _FAMILY_PARAMS[family].items() if draw(st.integers(0, 9))]
+        params += [(k, draw(_STATE_PARAM)) for k in draw(st.lists(st.sampled_from(_STATE_KEYS),
+                                                                  max_size=1))]
+        return _json_object([("family", json.dumps(family)), ("params", _json_object(params))])
+    if kind == "entries":
+        size = draw(st.sampled_from([16] * 4 + [15, 17]))
+        pairs = [["0.25" if i % 5 == 0 else "0", "0"] for i in range(size)]
+        for _ in range(draw(st.integers(0, 3))):
+            cell = draw(st.one_of(_STATE_NUMBER, _STATE_NUMBER, _STATE_TREE, _nested()))
+            pairs[draw(st.integers(0, 14))][draw(st.integers(0, 1))] = cell
+        return _json_object([("entries", _json_list(_json_list(pair) for pair in pairs))])
+    return draw(st.one_of(_STATE_TREE, _nested()))
+
+
+@st.composite
+def _state_bytes(draw):
+    """State text in UTF-8, after a BOM, with a byte that is not UTF-8, or raw bytes."""
+    data = draw(_state_text()).encode()
+    how = draw(st.sampled_from(["utf-8"] * 7 + ["bom", "bad-byte", "raw"]))
+    if how == "bom":
+        return b"\xef\xbb\xbf" + data
+    if how == "bad-byte":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\xfe", b"\xc3", b"\x80"])) + data[at:]
+    if how == "raw":
+        return draw(st.binary(max_size=12))
+    return data
+
+
+@pytest.fixture(scope="module")
+def state_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("content") / "state.json"
+
+
+class TestStateContentFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(data=_state_bytes(), command=st.sampled_from([["concurrence"], ["asymptotic"],
+                                                        ["evolve", "--samples", "3"]]))
+    def test_every_state_file_ends_in_a_documented_exit(self, state_path, data, command):
+        """Any state file content, from a file or on a strict stdin, ends in output
+        or in exit 2 (4 for a state at the positivity threshold) with one error line."""
+        state_path.write_bytes(data)
+        from_file = _call(command + ["--state", str(state_path)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "stdin", _strict_stdin(data))
+            from_stdin = _call(command + ["--state", "-"])
+        assert from_stdin == from_file
+        code, out, err = from_file
+        assert code in (EXIT_OK, EXIT_BAD_STATE, EXIT_NUMERICAL)
+        if code != EXIT_OK:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -244,6 +244,11 @@ class TestStackedMeasures:
         for fn in (concurrence, purity, asymptotic_concurrence):
             assert type(fn(rho)) is float
 
+    def test_empty_stack_gives_empty_array(self):
+        empty = np.zeros((0, 4, 4), dtype=complex)
+        for fn in (concurrence, purity, asymptotic_concurrence):
+            assert fn(empty).shape == (0,)
+
     def test_mems_family_stacks(self):
         deltas = np.linspace(0.0, 1.0, 11)
         stack = mems(deltas)

@@ -84,6 +84,20 @@ class TestFamilies:
             parse_state(obj), product_state(qmat.EXCITED, qmat.GROUND), atol=1e-15
         )
 
+    def test_json_booleans_read_as_one_and_zero(self):
+        """The format asks for numbers; true and false are accepted as 1 and 0."""
+        def read(text):
+            return load_state(io.StringIO(text))
+
+        pairs = ", ".join("[0.25, false]" if i % 5 == 0 else "[false, false]" for i in range(16))
+        assert np.array_equal(read(f'{{"entries": [{pairs}]}}'), np.eye(4) / 4)
+        ket = "[[true, false], [false, false]]"
+        product = f'{{"family": "product", "params": {{"psi": {ket}, "phi": {ket}}}}}'
+        assert np.array_equal(read(product), product_state(qmat.EXCITED, qmat.EXCITED))
+        for flag, p in (("true", 1.0), ("false", 0.0)):
+            assert np.array_equal(read(f'{{"family": "werner", "params": {{"p": {flag}}}}}'),
+                                  werner(p))
+
     def test_unknown_family(self):
         with pytest.raises(StateFileError):
             parse_state({"family": "ghz", "params": {}})
