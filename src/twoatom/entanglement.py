@@ -13,8 +13,6 @@ from . import qmat
 
 #: sigma_2 x sigma_2, the spin-flip sandwich (real orthogonal symmetric)
 SPIN_FLIP_OP = np.kron(qmat.SIGMA_2, qmat.SIGMA_2)
-#: SPIN_FLIP_OP is anti-diagonal: SPIN_FLIP_OP @ y == _SPIN_FLIP_SIGN * y[..., ::-1, :]
-_SPIN_FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 class NotPureError(ValueError):
@@ -47,7 +45,9 @@ def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     else:
         w, x = qmat._psd_eigh(rho)
         x *= np.sqrt(w)[..., None, :]
-    return np.linalg.svd(x.swapaxes(-1, -2) @ (_SPIN_FLIP_SIGN * x[..., ::-1, :]), compute_uv=False)
+    # SPIN_FLIP_OP is anti-diagonal, signs (-1, 1, 1, -1): X^T SPIN_FLIP_OP X = a + a^T
+    a = x[..., 1, :, None] * x[..., 2, None, :] - x[..., 0, :, None] * x[..., 3, None, :]
+    return np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
 
 
 def concurrence(rho: np.ndarray):

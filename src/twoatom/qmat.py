@@ -15,6 +15,8 @@ the product-state parametrization used throughout (see README,
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 # Structural tolerance (hermiticity / trace / positivity of states): the slack of
@@ -206,11 +208,12 @@ def validate_state(m: np.ndarray, atol: float = TOL_STRUCTURAL) -> np.ndarray:
     """Check the three density-matrix invariants and return the matrix.
 
     Raises ``InvalidStateError`` naming every violated invariant (hermiticity,
-    unit trace, positivity) with its magnitude, or the non-finite entries.
+    unit trace, positivity) with its magnitude, the non-finite entries or the shape.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
-        raise InvalidStateError({"shape": float(m.size)})
+        detail = f"shape {reprlib.repr(m.shape)}, expected (4, 4)"
+        raise InvalidStateError({"shape": float(m.size)}, detail)
     defect, trace_defect, spectrum = state_health(m)
     measured = {"hermiticity": defect, "trace": trace_defect, "positivity": -spectrum[0]}
     violations = {k: float(v) for k, v in measured.items() if not v <= atol}

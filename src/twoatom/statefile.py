@@ -30,6 +30,7 @@ import csv
 import json
 import math
 import re
+import reprlib
 
 import numpy as np
 
@@ -71,7 +72,7 @@ _KEY_ERROR = {"basis": "basis params 'a' and 'b' must be 'excited' or 'ground'"}
 def _from_family(family, params) -> np.ndarray:
     build = _FAMILIES.get(family) if isinstance(family, str) else None
     if build is None:
-        raise StateFileError(f"unknown state family {family!r}")
+        raise StateFileError(f"unknown state family {reprlib.repr(family)}")
     try:
         return build(params)
     except KeyError as exc:
@@ -80,7 +81,9 @@ def _from_family(family, params) -> np.ndarray:
     except StateFileError:  # the product kets' own message
         raise
     except (ValueError, TypeError, OverflowError) as exc:
-        raise StateFileError(f"bad parameters for family {family!r}: {exc}") from exc
+        detail = str(exc)  # it may echo a parameter of any length
+        detail = detail if len(detail) <= 120 else detail[:117] + "..."
+        raise StateFileError(f"bad parameters for family {family!r}: {detail}") from exc
 
 
 def parse_state(obj: dict) -> np.ndarray:
@@ -146,9 +149,9 @@ def write_table(columns: dict, metadata: dict, fmt: str, fp) -> None:
         rows = np.column_stack(
             [col.reshape(len(col), math.prod(col.shape[1:])) for col in cells.values()]
         )
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows.tolist())
+        csv.writer(fp, lineterminator="\n").writerow(header)  # quotes a name that needs it
+        line = ",".join(["%r"] * rows.shape[1]) + "\n"  # csv.writer spells a float as its repr
+        fp.write((line * len(rows)) % tuple(rows.ravel().tolist()))
     else:
         fp.write(_json_table(cells, metadata))
         fp.write("\n")

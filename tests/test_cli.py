@@ -599,8 +599,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "params,detail",
         [({"family": "mems", "params": {"delta": [[2, 2], [2, 2]]}}, "[[2.0, 2.0], [2.0, 2.0]]"),
-         ({"family": "bell_diagonal", "params": {"p": [1e308] * 4}}, "probability vector")],
-        ids=["mems-delta-matrix", "bell-diagonal-p-overflow"],
+         ({"family": "bell_diagonal", "params": {"p": [1e308] * 4}}, "probability vector"),
+         # states.mems accepts an array of deltas and builds a stack of states
+         ({"family": "mems", "params": {"delta": [0.5, 0.5]}},
+          "not a valid density matrix: shape (2, 4, 4), expected (4, 4)"),
+         ({"family": json.loads("[" * 500 + "]" * 500)}, "unknown state family [[["),
+         ({"family": "werner", "params": {"p": 10**400 - 1}},
+          "bad parameters for family 'werner': p must lie in [0, 1], got 999")],
+        ids=["mems-delta-matrix", "bell-diagonal-p-overflow", "mems-delta-stack",
+             "family-nested-500", "werner-p-400-digits"],
     )
     def test_bad_family_parameter_is_one_line(self, tmp_path, capsys, params, detail):
         # a numpy array printed across lines, or a warning, would add a line
@@ -608,6 +615,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert rc == EXIT_BAD_STATE
         assert out == "" and len(err.splitlines()) == 1 and detail in err
+        assert len(err) <= 201  # an echoed value of any length is cut to fit the line
 
     def test_unreadable_state_is_bad_state(self, tmp_path, capsys):
         assert main(["concurrence", "--state", str(tmp_path)]) == EXIT_BAD_STATE

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -204,6 +205,55 @@ def _reference_json(columns, metadata):
     buf = io.StringIO()
     json.dump({"metadata": metadata, "records": records}, buf, indent=1)
     return buf.getvalue() + "\n"
+
+
+def _reference_csv(columns):
+    """The table as ``csv.writer`` writes a header and one list of floats per sample."""
+    labels = [f"{j}{k}" for j in range(1, 5) for k in range(1, 5)]
+    header, cells = [], []
+    for name, col in columns.items():
+        if np.iscomplexobj(col):
+            header += [f"{name}_{part}_{lbl}" for lbl in labels for part in ("re", "im")]
+            cells.append([sum(state_to_entries(x), []) for x in col])
+        else:
+            header.append(name)
+            cells.append([[x] for x in np.asarray(col, dtype=float).tolist()])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(sum(parts, []) for parts in zip(*cells))
+    return buf.getvalue()
+
+
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5]
+
+
+class TestCsvGolden:
+    @pytest.mark.parametrize("samples", [0, 1, 2, 301])
+    @pytest.mark.parametrize("with_rho", [False, True])
+    def test_matches_csv_writer(self, samples, with_rho):
+        gen = np.random.default_rng(samples)
+        columns = {"t": np.linspace(0.0, 5.0, samples), "concurrence": gen.random(samples)}
+        columns["concurrence"][:7] = _SPECIAL_FLOATS[:samples]
+        if with_rho:
+            columns["rho"] = gen.standard_normal((samples, 4, 4)) + 1j * gen.standard_normal(
+                (samples, 4, 4)
+            )
+            if samples:
+                columns["rho"][-1, :2].real.flat[:7] = _SPECIAL_FLOATS
+                columns["rho"][-1, 2:].imag.flat[:7] = _SPECIAL_FLOATS
+        buf = io.StringIO()
+        write_table(columns, {"ignored": 1}, "csv", buf)
+        assert buf.getvalue() == _reference_csv(columns)
+
+    def test_names_that_need_quoting(self):
+        rho = np.zeros((2, 4, 4), dtype=complex)
+        rho[:, 0, 0] = [1.0, 0.25]
+        columns = {"a,b": [0.5, -0.0], 'c"d': rho, "e": [1e16, 5e-324]}
+        buf = io.StringIO()
+        write_table(columns, {}, "csv", buf)
+        assert buf.getvalue() == _reference_csv(columns)
+        assert buf.getvalue().startswith('"a,b","c""d_re_11","c""d_im_11",')
 
 
 class TestJsonGolden:
