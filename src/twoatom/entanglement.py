@@ -31,20 +31,13 @@ def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     Computed as the singular values of X^T (s2 x s2) X for any factor
     rho = X X^H: the complex conjugate of Wootters' tau = X^H (s2 x s2) conj(X)
     (PRL 80, 2245 (1998)), so the same spectrum without forming sqrt(rho).
-    A single 4x4 state takes X = V sqrt(w) from one ``eigh``
-    (:func:`qmat._psd_eigh`); a stack takes the pivoted Cholesky factor of
-    :func:`qmat._psd_factor`, four loop-free steps over the whole stack,
-    which costs less than an ``eigh`` per state there but more than one
-    ``eigh`` for a single state.  The SVD is backward stable, but a
-    true-zero lambda still comes out as large as about 2e-8 (on random pure
-    product states).  l1 - l2 - l3 - l4 cancels them: the concurrence of
-    such a state is about 1e-15 at most.
+    X is :func:`qmat._psd_factor`, which also checks that rho is a Hermitian
+    PSD state.  The SVD is backward stable, but a true-zero lambda still
+    comes out as large as about 2e-8 (on random pure product states).
+    l1 - l2 - l3 - l4 cancels them: the concurrence of such a state is
+    about 1e-15 at most.
     """
-    if np.ndim(rho) > 2:
-        x = qmat._psd_factor(rho)
-    else:
-        w, x = qmat._psd_eigh(rho)
-        x *= np.sqrt(w)[..., None, :]
+    x = qmat._psd_factor(rho)
     # SPIN_FLIP_OP is anti-diagonal, signs (-1, 1, 1, -1): X^T SPIN_FLIP_OP X = a + a^T
     a = x[..., 1, :, None] * x[..., 2, None, :] - x[..., 0, :, None] * x[..., 3, None, :]
     return np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)

@@ -89,46 +89,20 @@ def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
     return r.transpose(2, 1, 0, 3).reshape(4, 4)
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Hermitian part of ``m``; ``NotHermitianError`` for a defect above TOL_STRUCTURAL."""
-    m = np.asarray(m, dtype=complex)
-    h = dag(m)
-    # inf - inf and overflow make the defect NaN or inf, which fails the check
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = abs(m - h).max(initial=0.0)
-    if not defect <= TOL_STRUCTURAL:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
-    return 0.5 * m + 0.5 * h
-
-
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, sorted descending.
 
     Raises ``NotHermitianError`` if ``m`` is not Hermitian within TOL_STRUCTURAL.
     """
-    return np.linalg.eigvalsh(_hermitian_part(m))[..., ::-1]
-
-
-def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition ``(w, v)`` of a PSD matrix, or of each in a stack.
-
-    ``w`` is ascending with eigenvalues in [-TOL_STRUCTURAL, 0) clamped to
-    zero, and ``v`` holds the eigenvectors as columns.  Raises
-    ``NotHermitianError`` for a hermiticity defect above TOL_STRUCTURAL and
-    ``NotPSDError`` for an eigenvalue below -TOL_STRUCTURAL.
-    """
-    w, v = np.linalg.eigh(_hermitian_part(m))
-    _require_psd(w[..., 0].min())
-    return np.where(w < 0.0, 0.0, w), v
-
-
-def _require_psd(min_eig: float) -> None:
-    if min_eig < -TOL_STRUCTURAL:
-        raise NotPSDError(f"minimum eigenvalue {min_eig:.3e} below -{TOL_STRUCTURAL:.1e}")
+    defect, _, spectrum = state_health(m)
+    defect = defect.max(initial=0.0)
+    if not defect <= TOL_STRUCTURAL:
+        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
+    return spectrum[..., ::-1]
 
 
 def _psd_min_eigenvalues(m: np.ndarray):
-    """None when every state of the stack ``m`` passes the PSD check, else the
+    """None when ``m``, one state or a stack, passes the PSD check, else the
     minimum eigenvalue of each state's Hermitian part (NaN for a non-finite state).
 
     A finite stack whose every state shifted by TOL_STRUCTURAL * I has a
@@ -147,24 +121,40 @@ def _psd_min_eigenvalues(m: np.ndarray):
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """A factor X with X X^H the Hermitian part of each PSD matrix in a stack.
+    """A factor X with X X^H the Hermitian part of a PSD state, or of each in a stack.
 
-    Four steps of left-looking Cholesky with diagonal pivoting, each over the
-    whole stack: the largest remaining diagonal entry p is the pivot, and the
-    column h[:, p] - X[:, :k] X[p, :k]^H over its square root is column k.
+    Raises ``NotHermitianError`` for a hermiticity defect above TOL_STRUCTURAL,
+    and ``NotPSDError`` when :func:`_psd_min_eigenvalues` rejects ``m`` as
+    given: the call the RK4 guard makes, so the two verdicts agree, and a
+    state gets the same one alone and in a stack.
+
+    A single 4x4 state takes X = V sqrt(max(w, 0)) from one ``eigh``.  A
+    stack takes four steps of left-looking Cholesky with diagonal pivoting,
+    each over the whole stack, which costs less than an ``eigh`` per state:
+    the largest remaining diagonal entry p is the pivot, and the column
+    h[:, p] - X[:, :k] X[p, :k]^H over its square root is column k.
     A pivot at most eps tr(h) gives a zero column, so a rank-r state has
     4 - r of them; this is a backward-stable factor of a semidefinite matrix
     (Higham, "Analysis of the Cholesky decomposition of a semi-definite
     matrix", 1990).  The cut is not larger because concurrence, a difference
     of square roots, is not Lipschitz at a small eigenvalue: cutting at
     16 eps tr(h) dropped an eigenvalue of 3.5e-15 from a state on an RK4
-    trajectory and moved its concurrence by 1e-7.  Raises as
-    :func:`_psd_eigh` does, with the same messages.
+    trajectory and moved its concurrence by 1e-7.
     """
-    h = _hermitian_part(m)
-    min_eig = _psd_min_eigenvalues(h)
-    if min_eig is not None:
-        _require_psd(min_eig.min())
+    m = np.asarray(m, dtype=complex)
+    mh = dag(m)
+    # inf - inf and overflow make the defect NaN or inf, which fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = abs(m - mh).max(initial=0.0)
+    if not defect <= TOL_STRUCTURAL:
+        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
+    min_eig = _psd_min_eigenvalues(m)
+    if min_eig is not None and not min_eig.min() >= -TOL_STRUCTURAL:
+        raise NotPSDError(f"minimum eigenvalue {min_eig.min():.3e} below -{TOL_STRUCTURAL:.1e}")
+    h = 0.5 * m + 0.5 * mh
+    if h.ndim == 2:
+        w, v = np.linalg.eigh(h)
+        return v * np.sqrt(np.where(w < 0.0, 0.0, w))
     hs = h.reshape(-1, 4, 4)
     rows = np.arange(len(hs))
     x = np.zeros_like(hs)

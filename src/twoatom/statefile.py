@@ -17,8 +17,11 @@ psi_minus), ``mes`` (``a``, ``theta1``, ``theta2``), ``bell_diagonal``
 (``p``: 4 weights), ``werner`` (``p``), ``mems`` (``delta``), ``basis``
 (``a``, ``b``: each "excited" or "ground").
 
-JSON ``true`` and ``false`` are accepted where a number is expected, and
-read as 1 and 0 (``complex(0, True)`` is ``1j``).
+The number parameters (``a`` and the phases of ``mes``, ``p`` of
+``werner``, ``delta`` and each of the four weights) must each be one JSON
+number, not a list or a string.  JSON ``true`` and ``false`` are accepted
+where a number is expected, and read as 1 and 0 (``complex(0, True)`` is
+``1j``).
 
 Floats are serialized with Python's shortest round-trip repr, so a state
 written and re-read is bit-identical.
@@ -54,15 +57,24 @@ def _complexes(pairs, n: int, name: str) -> np.ndarray:
     return v
 
 
+def _number(x, name: str):
+    """``x`` if it is one JSON number (``true``/``false`` are ints), else ValueError."""
+    if not isinstance(x, (int, float)):
+        raise ValueError(f"{name} must be one number")
+    return x
+
+
 _FAMILIES = {
     "product": lambda p: states.product_state(
         _complexes(p["psi"], 2, "psi"), _complexes(p["phi"], 2, "phi")
     ),
     "bell": lambda p: states.bell(p["which"]),
-    "mes": lambda p: states.mes(p["a"], p["theta1"], p["theta2"]),
-    "bell_diagonal": lambda p: states.bell_diagonal(*p["p"]),
-    "werner": lambda p: states.werner(p["p"]),
-    "mems": lambda p: states.mems(p["delta"]),
+    "mes": lambda p: states.mes(*(_number(p[k], k) for k in ("a", "theta1", "theta2"))),
+    "bell_diagonal": lambda p: states.bell_diagonal(
+        *(_number(w, f"p[{i}]") for i, w in enumerate(p["p"]))
+    ),
+    "werner": lambda p: states.werner(_number(p["p"], "p")),
+    "mems": lambda p: states.mems(_number(p["delta"], "delta")),
     "basis": lambda p: states.product_state(_KET[p["a"]], _KET[p["b"]]),
 }
 # a KeyError is a missing parameter, unless the family names its own message

@@ -598,16 +598,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "params,detail",
-        [({"family": "mems", "params": {"delta": [[2, 2], [2, 2]]}}, "[[2.0, 2.0], [2.0, 2.0]]"),
+        [({"family": "mems", "params": {"delta": [[2, 2], [2, 2]]}},
+          "bad parameters for family 'mems': delta must be one number"),
          ({"family": "bell_diagonal", "params": {"p": [1e308] * 4}}, "probability vector"),
          # states.mems accepts an array of deltas and builds a stack of states
          ({"family": "mems", "params": {"delta": [0.5, 0.5]}},
-          "not a valid density matrix: shape (2, 4, 4), expected (4, 4)"),
+          "bad parameters for family 'mems': delta must be one number"),
+         ({"family": "mems", "params": {"delta": json.loads("[" * 60 + "0.5" + "]" * 60)}},
+          "bad parameters for family 'mems': delta must be one number"),
+         # a column of weights is not four numbers, though it sums to 1
+         ({"family": "bell_diagonal", "params": {"p": [[0.25], [0.25], [0.25], [0.25]]}},
+          "bad parameters for family 'bell_diagonal': p[0] must be one number"),
          ({"family": json.loads("[" * 500 + "]" * 500)}, "unknown state family [[["),
          ({"family": "werner", "params": {"p": 10**400 - 1}},
           "bad parameters for family 'werner': p must lie in [0, 1], got 999")],
         ids=["mems-delta-matrix", "bell-diagonal-p-overflow", "mems-delta-stack",
-             "family-nested-500", "werner-p-400-digits"],
+             "mems-delta-nested-60", "bell-diagonal-p-column", "family-nested-500",
+             "werner-p-400-digits"],
     )
     def test_bad_family_parameter_is_one_line(self, tmp_path, capsys, params, detail):
         # a numpy array printed across lines, or a warning, would add a line

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,20 @@ from twoatom.entanglement import (
     spin_flip,
     wootters_lambdas,
 )
-from twoatom.model import ModelParams, evolve_series
+from twoatom.model import ModelParams, evolve_series, time_grid
 from twoatom.propagator import asymptotic_state, evolve
-from twoatom.states import bell, bell_diagonal, mems, mes, product_state, purity, werner
+from twoatom.states import (
+    BELL_NAMES,
+    bell,
+    bell_diagonal,
+    mems,
+    mes,
+    product_state,
+    purity,
+    werner,
+)
 
+import decimal_concurrence
 from conftest import (
     random_pure_state,
     random_qubit_vector,
@@ -342,3 +354,54 @@ class TestXStateOracle:
             assert np.abs(traj[:, _OFF_X]).max() <= 1e-15, name
             expected = _x_state_concurrence(traj)
             assert np.abs(concurrence(traj) - expected).max() <= 1e-12, name
+
+
+def _graded_state(seed, exponents):
+    """U diag(w) U^H with w proportional to 10^-exponents, U Haar-random."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    w = 10.0 ** -np.array(exponents, dtype=float)
+    return (u * (w / w.sum())) @ qmat.dag(u)
+
+
+class TestDecimalReference:
+    """Both concurrence paths against a 50-digit reference of the same double matrices."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        traj = evolve_series(mes(0.007, 3.53, 2.78), ModelParams(1.0, 0.99),
+                             time_grid(5.0, 2001))
+        # exact dyadic qubit states: their products are exactly separable (a
+        # rounded pure product state is entangled by its rounding, C ~ 1e-10)
+        rho_a = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
+        rho_b = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        return np.array(
+            # eigenvalues 3.5e-15 and 1.9e-8; 4.6e-13 and 4.3e-7, where eigh errs most
+            [traj[1749], traj[758]]
+            + [_graded_state(seed, e) for seed, e in enumerate(
+                [(0, 4, 8, 12), (0, 2, 4, 6), (0, 6, 12, 15), (0, 1, 14, 15), (0, 0, 10, 13),
+                 (0, 3, 3, 16)])]
+            + [np.kron(rho_a, rho_b), np.kron(rho_a, up), np.kron(down, up)]
+            + [bell(name) for name in BELL_NAMES]
+            + [mems(delta) for delta in (0.2, 0.5, 2.0 / 3.0, 0.8, 1.0)]
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self, states):
+        return np.array([float(decimal_concurrence.concurrence(rho)) for rho in states])
+
+    def test_reference_is_exact_on_mems(self):
+        # C(mems(delta)) = delta for the double matrix too: an X state with rho_33 = 0
+        for delta in (0.2, 0.8, 1.0):
+            assert abs(decimal_concurrence.concurrence(mems(delta)) - Decimal(delta)) < 1e-45
+
+    def test_stacked_path_within_1e15(self, states, reference):
+        assert np.abs(concurrence(states) - reference).max() <= 1e-15
+
+    def test_single_state_path(self, states, reference):
+        """eigh's error on an eigenvalue near 1e-13 costs the single state
+        3.1e-10 on traj[758]; every other state here is within 1e-15."""
+        error = np.abs([concurrence(rho) for rho in states] - reference)
+        assert error[1] <= 4e-10
+        assert np.delete(error, 1).max() <= 1e-15

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from twoatom import qmat
 from twoatom.entanglement import concurrence, wootters_lambdas
-from twoatom.model import ModelParams, evolve_series, time_grid
+from twoatom.model import (
+    ModelParams,
+    StepTooLargeError,
+    _check_positivity,
+    evolve_series,
+    time_grid,
+)
 from twoatom.states import mes
 from twoatom.qmat import (
     InvalidStateError,
@@ -164,7 +170,7 @@ class TestHermitianEigenvalues:
 
 
 class TestPsdEigh:
-    """The PSD eigendecomposition behind concurrence names what it rejects."""
+    """The PSD factor of a single state (one eigh) names what it rejects."""
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -5.000e-01 below -1.0e-09$"):
@@ -192,8 +198,8 @@ def _rank_k_stack(seed, k, n):
 
 
 class TestPsdFactor:
-    """The stacked pivoted-Cholesky factor rejects what _psd_eigh rejects and
-    factors what it accepts."""
+    """The stacked pivoted-Cholesky factor rejects what the single-state factor
+    rejects and factors what it accepts."""
 
     def test_one_indefinite_state_in_a_stack(self):
         stack = np.array(random_states(91, 5))
@@ -217,7 +223,7 @@ class TestPsdFactor:
         stack = _rank_k_stack(93 + rank, rank, 300)
         x = qmat._psd_factor(stack)
         assert x.shape == stack.shape
-        assert np.abs(x @ qmat.dag(x) - qmat._hermitian_part(stack)).max() <= 1e-14
+        assert np.abs(x @ qmat.dag(x) - 0.5 * (stack + qmat.dag(stack))).max() <= 1e-14
 
     def test_keeps_a_tiny_eigenvalue_that_moves_the_concurrence(self):
         """On this trajectory a state has eigenvalues 3.5e-15 and 1.9e-8; a
@@ -231,6 +237,39 @@ class TestPsdFactor:
         for rho in _rank_k_stack(97 + rank, rank, 50):
             single = wootters_lambdas(rho)
             assert np.abs(wootters_lambdas(rho[None])[0] - single).max() <= 1e-14
+
+
+def _threshold_states(seed, n):
+    """U diag(w) U^H with w_4 = -TOL_STRUCTURAL (1 +- 1e-6): at the PSD threshold."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4)))
+    w = np.empty((n, 4))
+    w[:, :3] = rng.uniform(0.1, 1.0, (n, 3))
+    w[:, 3] = -qmat.TOL_STRUCTURAL * (1.0 + rng.uniform(-1e-6, 1e-6, n))
+    return (u * w[:, None, :]) @ qmat.dag(u)
+
+
+def _accepts(check):
+    try:
+        check()
+    except (NotPSDError, StepTooLargeError):
+        return False
+    return True
+
+
+class TestPsdVerdict:
+    """A state at the threshold gets one PSD verdict: alone, in a stack and
+    from the RK4 positivity guard."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_stack_and_guard_agree(self, seed):
+        verdicts = [
+            (_accepts(lambda: concurrence(m)), _accepts(lambda: concurrence(m[None])),
+             _accepts(lambda: _check_positivity(m[None], [1.0])))
+            for m in _threshold_states(seed, 500)
+        ]
+        assert [v for v in verdicts if len(set(v)) > 1] == []
+        assert {v[0] for v in verdicts} == {True, False}  # both sides of the threshold
 
 
 class TestValidateState:
