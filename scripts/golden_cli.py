@@ -59,6 +59,8 @@ _STATES = {
     "bell_diagonal": {"family": "bell_diagonal", "params": {"p": [0.6, 0.1, 0.2, 0.1]}},
     "mems": {"family": "mems", "params": {"delta": 0.9}},
     "mes": {"family": "mes", "params": {"a": 0.3, "theta1": 0, "theta2": 0}},
+    # complex-valued, as are entries and random: the other states are real-valued
+    "mes_phased": {"family": "mes", "params": {"a": 0.3, "theta1": 0.4, "theta2": 1.9}},
     "entries": _entries_state(7),
 }
 

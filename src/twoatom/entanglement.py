@@ -32,15 +32,22 @@ def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     rho = X X^H: the complex conjugate of Wootters' tau = X^H (s2 x s2) conj(X)
     (PRL 80, 2245 (1998)), so the same spectrum without forming sqrt(rho).
     X is :func:`qmat._psd_factor`, which also checks that rho is a Hermitian
-    PSD state.  The SVD is backward stable, but a true-zero lambda still
-    comes out as large as about 2e-8 (on random pure product states).
+    PSD state.  A stack with no nonzero imaginary entry gets a real X, so
+    X^T (s2 x s2) X is real symmetric and its singular values are the absolute
+    values of its eigenvalues: one real ``eigvalsh`` (LAPACK ``dsyevd``)
+    instead of the complex ``svd`` (``zgesdd``) that a complex stack and a
+    single state take.  Both are backward stable, but a true-zero lambda
+    still comes out as large as about 2e-8 (on random pure product states).
     l1 - l2 - l3 - l4 cancels them: the concurrence of such a state is
     about 1e-15 at most.
     """
     x = qmat._psd_factor(rho)
     # SPIN_FLIP_OP is anti-diagonal, signs (-1, 1, 1, -1): X^T SPIN_FLIP_OP X = a + a^T
     a = x[..., 1, :, None] * x[..., 2, None, :] - x[..., 0, :, None] * x[..., 3, None, :]
-    return np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
+    b = a + a.swapaxes(-1, -2)
+    if np.isrealobj(b):
+        return np.sort(np.abs(np.linalg.eigvalsh(b)), axis=-1)[..., ::-1]
+    return np.linalg.svd(b, compute_uv=False)
 
 
 def concurrence(rho: np.ndarray):

@@ -128,8 +128,8 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
     given: the call the RK4 guard makes, so the two verdicts agree, and a
     state gets the same one alone and in a stack.
 
-    A single 4x4 state takes X = V sqrt(max(w, 0)) from one ``eigh``.  A
-    stack takes four steps of left-looking Cholesky with diagonal pivoting,
+    A single 4x4 state takes X = V sqrt(max(w, 0)) from one complex ``eigh``.
+    A stack takes four steps of left-looking Cholesky with diagonal pivoting,
     each over the whole stack, which costs less than an ``eigh`` per state:
     the largest remaining diagonal entry p is the pivot, and the column
     h[:, p] - X[:, :k] X[p, :k]^H over its square root is column k.
@@ -140,6 +140,14 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
     of square roots, is not Lipschitz at a small eigenvalue: cutting at
     16 eps tr(h) dropped an eigenvalue of 3.5e-15 from a state on an RK4
     trajectory and moved its concurrence by 1e-7.
+
+    The steps run in real arithmetic, and X comes out real, when no entry of
+    the stack's Hermitian part has a nonzero imaginary part: collective decay
+    keeps a real start real, and the Bell, Werner, Bell-diagonal and MEMS
+    starts are real.  Complex arithmetic on zero imaginary parts rounds as
+    real arithmetic does, so X equals the real part of the complex result bit
+    for bit.  The verdict above stays complex in either case: LAPACK's real
+    and complex Cholesky disagree on a few states at the threshold.
     """
     m = np.asarray(m, dtype=complex)
     mh = dag(m)
@@ -156,6 +164,8 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
         w, v = np.linalg.eigh(h)
         return v * np.sqrt(np.where(w < 0.0, 0.0, w))
     hs = h.reshape(-1, 4, 4)
+    if not hs.imag.any():
+        hs = hs.real
     rows = np.arange(len(hs))
     x = np.zeros_like(hs)
     d = hs.diagonal(0, -2, -1).real.copy()

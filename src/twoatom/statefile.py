@@ -18,10 +18,10 @@ psi_minus), ``mes`` (``a``, ``theta1``, ``theta2``), ``bell_diagonal``
 (``a``, ``b``: each "excited" or "ground").
 
 The number parameters (``a`` and the phases of ``mes``, ``p`` of
-``werner``, ``delta`` and each of the four weights) must each be one JSON
-number, not a list or a string.  JSON ``true`` and ``false`` are accepted
-where a number is expected, and read as 1 and 0 (``complex(0, True)`` is
-``1j``).
+``werner``, ``delta`` and each of the four weights, which ``p`` of
+``bell_diagonal`` lists) must each be one JSON number, not a list or a
+string.  JSON ``true`` and ``false`` are accepted where a number is
+expected, and read as 1 and 0 (``complex(0, True)`` is ``1j``).
 
 Floats are serialized with Python's shortest round-trip repr, so a state
 written and re-read is bit-identical.
@@ -64,20 +64,33 @@ def _number(x, name: str):
     return x
 
 
+def _weights(p) -> list:
+    """The four Bell-diagonal weights, each one JSON number, else ValueError."""
+    if not isinstance(p, list) or len(p) != 4:
+        raise ValueError("p must list 4 numbers")
+    return [_number(w, f"p[{i}]") for i, w in enumerate(p)]
+
+
+def _ket(name) -> np.ndarray:
+    """The ket named "excited" or "ground"; KeyError for any other value, a list too."""
+    if isinstance(name, str) and name in _KET:
+        return _KET[name]
+    raise KeyError(name)
+
+
 _FAMILIES = {
     "product": lambda p: states.product_state(
         _complexes(p["psi"], 2, "psi"), _complexes(p["phi"], 2, "phi")
     ),
     "bell": lambda p: states.bell(p["which"]),
     "mes": lambda p: states.mes(*(_number(p[k], k) for k in ("a", "theta1", "theta2"))),
-    "bell_diagonal": lambda p: states.bell_diagonal(
-        *(_number(w, f"p[{i}]") for i, w in enumerate(p["p"]))
-    ),
+    "bell_diagonal": lambda p: states.bell_diagonal(*_weights(p["p"])),
     "werner": lambda p: states.werner(_number(p["p"], "p")),
     "mems": lambda p: states.mems(_number(p["delta"], "delta")),
-    "basis": lambda p: states.product_state(_KET[p["a"]], _KET[p["b"]]),
+    "basis": lambda p: states.product_state(_ket(p["a"]), _ket(p["b"])),
 }
 # a KeyError is a missing parameter, unless the family names its own message
+# (basis: a missing, unknown or non-string ket name)
 _KEY_ERROR = {"basis": "basis params 'a' and 'b' must be 'excited' or 'ground'"}
 
 

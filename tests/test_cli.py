@@ -609,11 +609,18 @@ class TestExitCodes:
          # a column of weights is not four numbers, though it sums to 1
          ({"family": "bell_diagonal", "params": {"p": [[0.25], [0.25], [0.25], [0.25]]}},
           "bad parameters for family 'bell_diagonal': p[0] must be one number"),
+         ({"family": "bell_diagonal", "params": {"p": 0.25}},
+          "bad parameters for family 'bell_diagonal': p must list 4 numbers"),
+         ({"family": "bell_diagonal", "params": {"p": [0.2] * 5}},
+          "bad parameters for family 'bell_diagonal': p must list 4 numbers"),
+         ({"family": "basis", "params": {"a": ["x"], "b": "ground"}},
+          "basis params 'a' and 'b' must be 'excited' or 'ground'"),
          ({"family": json.loads("[" * 500 + "]" * 500)}, "unknown state family [[["),
          ({"family": "werner", "params": {"p": 10**400 - 1}},
           "bad parameters for family 'werner': p must lie in [0, 1], got 999")],
         ids=["mems-delta-matrix", "bell-diagonal-p-overflow", "mems-delta-stack",
-             "mems-delta-nested-60", "bell-diagonal-p-column", "family-nested-500",
+             "mems-delta-nested-60", "bell-diagonal-p-column", "bell-diagonal-p-scalar",
+             "bell-diagonal-p-five", "basis-a-list", "family-nested-500",
              "werner-p-400-digits"],
     )
     def test_bad_family_parameter_is_one_line(self, tmp_path, capsys, params, detail):

@@ -405,3 +405,69 @@ class TestDecimalReference:
         error = np.abs([concurrence(rho) for rho in states] - reference)
         assert error[1] <= 4e-10
         assert np.delete(error, 1).max() <= 1e-15
+
+
+def _local_phases(a, b):
+    """diag(1, e^{ia}) x diag(1, e^{ib}): a local unitary, so it keeps the concurrence."""
+    return np.diag(np.kron([1.0, np.exp(1j * a)], [1.0, np.exp(1j * b)]))
+
+
+class TestRealValuedStack:
+    """A stack with no nonzero imaginary entry takes real arithmetic: a real
+    factor and eigvalsh of the real symmetric Wootters product, not svd."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        grid = time_grid(5.0, 2001)
+        near_psi_plus = evolve_series(mes(0.007, 0.0, 0.0), ModelParams(1.0, 0.99), grid)
+        werner_traj = evolve_series(werner(0.7), ModelParams(1.0, 0.99), grid)
+        rho_a = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        stack = np.array(
+            [bell(name) for name in BELL_NAMES]
+            + [mems(delta) for delta in (0.2, 0.5, 2.0 / 3.0, 0.8, 1.0)]
+            + [np.kron(rho_a, up), np.kron(down, up)]
+            # smallest eigenvalues -3.5e-19, 1.7e-18 ... 1.9e-16 (states 1-5, below
+            # the factor's eps tr(rho) cut), 3.3e-16, 1.1e-15, 9.6e-15, 9.8e-14, 1.0e-12
+            + list(near_psi_plus[[0, 1, 2, 3, 4, 5, 6, 9, 19, 43, 1543]])
+            + list(near_psi_plus[250::250])
+            # the concurrence dies after 688 and revives at 1166
+            + list(werner_traj[[0, 688, 689, 1165, 1166]])
+            + list(werner_traj[250::250])
+        )
+        assert not stack.imag.any()
+        return stack
+
+    @pytest.fixture(scope="class")
+    def reference(self, states):
+        return np.array([float(decimal_concurrence.concurrence(rho)) for rho in states])
+
+    def test_real_path_against_the_reference(self, states, reference):
+        """Within 1e-15, except where the smallest eigenvalue lies below the
+        factor's cut: a zero column there costs 1.4e-13 to 1.6e-11, the same in
+        complex arithmetic."""
+        assert not np.iscomplexobj(qmat._psd_factor(states))
+        error = np.abs(concurrence(states) - reference)
+        below_cut = np.arange(12, 17)  # near_psi_plus[1:6]
+        assert np.delete(error, below_cut).max() <= 1e-15
+        assert error[below_cut].max() <= 2e-11
+
+    def test_real_stack_never_reaches_svd(self, states, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert concurrence(states).shape == (len(states),)
+        assert concurrence(states[:0]).shape == (0,)
+        u = _local_phases(0.4, 1.9)
+        with pytest.raises(AssertionError, match="svd called"):
+            concurrence(u @ states @ qmat.dag(u))
+        with pytest.raises(AssertionError, match="svd called"):
+            concurrence(states[0])
+
+    @pytest.mark.parametrize("a,b", [(0.4, 1.9), (1e-3, -2.5), (np.pi / 2, np.pi)])
+    def test_real_and_complex_paths_agree(self, states, a, b):
+        u = _local_phases(a, b)
+        phased = u @ states @ qmat.dag(u)
+        assert np.iscomplexobj(qmat._psd_factor(phased))
+        assert np.abs(concurrence(phased) - concurrence(states)).max() <= 8 * np.finfo(float).eps

@@ -107,6 +107,26 @@ class TestFamilies:
         with pytest.raises(StateFileError):
             parse_state({"family": "werner", "params": {}})
 
+    @pytest.mark.parametrize(
+        "obj,message",
+        [({"family": "bell_diagonal", "params": {"p": 0.25}},
+          "bad parameters for family 'bell_diagonal': p must list 4 numbers"),
+         ({"family": "bell_diagonal", "params": {"p": [0.2] * 5}},
+          "bad parameters for family 'bell_diagonal': p must list 4 numbers"),
+         ({"family": "bell_diagonal", "params": {"p": "abcd"}},
+          "bad parameters for family 'bell_diagonal': p must list 4 numbers"),
+         ({"family": "basis", "params": {"a": ["x"], "b": "ground"}},
+          "basis params 'a' and 'b' must be 'excited' or 'ground'"),
+         ({"family": "basis", "params": {"a": "excited", "b": {"ground": 1}}},
+          "basis params 'a' and 'b' must be 'excited' or 'ground'")],
+        ids=["bell-diagonal-p-scalar", "bell-diagonal-p-five", "bell-diagonal-p-string",
+             "basis-a-list", "basis-b-object"],
+    )
+    def test_bad_parameter_is_named(self, obj, message):
+        with pytest.raises(StateFileError) as info:
+            parse_state(obj)
+        assert str(info.value) == message
+
     def test_rejects_invalid_entries_matrix(self):
         entries = state_to_entries(np.eye(4, dtype=complex))  # trace 4, not a state
         with pytest.raises(qmat.InvalidStateError):
