@@ -49,6 +49,14 @@ def _entries_state(seed: int) -> dict:
     return {"entries": [[float(z.real), float(z.imag)] for z in rho.ravel()]}
 
 
+def _x_entries(diagonal, rho14: complex, rho23: complex) -> dict:
+    """An X state (nonzero entries on the diagonal and the anti-diagonal only) as raw entries."""
+    rho = np.diag(np.asarray(diagonal, dtype=complex))
+    rho[0, 3], rho[1, 2] = rho14, rho23
+    rho[3, 0], rho[2, 1] = np.conj(rho14), np.conj(rho23)
+    return {"entries": [[float(z.real), float(z.imag)] for z in rho.ravel()]}
+
+
 _STATES = {
     "excited_ground": {"family": "basis", "params": {"a": "excited", "b": "ground"}},
     "excited_excited": {"family": "basis", "params": {"a": "excited", "b": "excited"}},
@@ -62,6 +70,9 @@ _STATES = {
     # complex-valued, as are entries and random: the other states are real-valued
     "mes_phased": {"family": "mes", "params": {"a": 0.3, "theta1": 0.4, "theta2": 1.9}},
     "entries": _entries_state(7),
+    # complex X states: the other X states are real-valued
+    "phi_plus_phased": _x_entries([0.5, 0.0, 0.0, 0.5], 0.5 * np.exp(0.7j), 0.0),
+    "x_mixed": _x_entries([0.4, 0.2, 0.15, 0.25], 0.25 * np.exp(1.1j), 0.1 * np.exp(-0.4j)),
 }
 
 _PEAK_GAMMA0 = ("0.4", "1", "2.5", "1e5", "1e300")

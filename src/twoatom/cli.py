@@ -204,39 +204,33 @@ def cmd_peak(args) -> Writer:
     return _report(args.format, payload, lambda: (f"{key} = {payload[key]!r}" for key in keys))
 
 
-def _figure_columns(which: str, params: ModelParams, grid: np.ndarray):
-    gamma0 = params.gamma0
-    if which == "fig1":
-        c_phi = entanglement.concurrence(propagator.evolve(states.bell("phi_plus"), params, grid))
-        # a rate times a large t may overflow to inf, whose exponential is 0
-        with np.errstate(over="ignore"):
-            c_psi = np.exp(-2.0 * gamma0 * grid)
-        return {"t": grid, "c_phi_plus": c_phi, "c_psi_plus": c_psi}, {
-            "scenario": "fig1", "gamma0": gamma0, "g": 1.0,
-        }
-    if which == "fig2":
+#: the Bell-start figures: g, and the concurrence column of each start
+_BELL_FIGURES = {
+    "fig1": (1.0, {"c_phi_plus": "phi_plus", "c_psi_plus": "psi_plus"}),
+    "fig3": (0.99, {"c_plus": "psi_plus", "c_minus": "psi_minus"}),
+}
+
+
+def cmd_figure(args) -> Writer:
+    g, starts = _BELL_FIGURES.get(args.which, (1.0, {}))
+    params = ModelParams(gamma0=args.gamma0, g=g)
+    grid = time_grid(_t_max(args, params), args.samples)
+    if args.which == "fig2":
         deltas = np.linspace(0.0, 1.0, len(grid))
         family = states.mems(deltas)
-        return {
+        columns = {
             "delta": deltas,
             "purity": states.purity(family),
             "c_initial": entanglement.concurrence(family),
             "c_asymptotic": entanglement.asymptotic_concurrence(family),
-        }, {"scenario": "fig2", "g": 1.0}
-    if which == "fig3":
-        plus = propagator.evolve(states.bell("psi_plus"), params, grid)
-        minus = propagator.evolve(states.bell("psi_minus"), params, grid)
-        c_plus, c_minus = entanglement.concurrence(plus), entanglement.concurrence(minus)
-        return {"t": grid, "c_plus": c_plus, "c_minus": c_minus}, {
-            "scenario": "fig3", "gamma0": gamma0, "g": params.g,
         }
-    raise ValueError(f"unknown figure {which!r}")
-
-
-def cmd_figure(args) -> Writer:
-    params = ModelParams(gamma0=args.gamma0, g=0.99 if args.which == "fig3" else 1.0)
-    grid = time_grid(_t_max(args, params), args.samples)
-    columns, metadata = _figure_columns(args.which, params, grid)
+        metadata = {"scenario": "fig2", "g": g}
+    else:
+        columns = {"t": grid} | {
+            column: entanglement.concurrence(propagator.evolve(states.bell(start), params, grid))
+            for column, start in starts.items()
+        }
+        metadata = {"scenario": args.which, "gamma0": args.gamma0, "g": g}
     return functools.partial(statefile.write_table, columns, metadata, args.format)
 
 

@@ -120,13 +120,29 @@ def _psd_min_eigenvalues(m: np.ndarray):
     return state_health(m)[2][..., 0]
 
 
-def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """A factor X with X X^H the Hermitian part of a PSD state, or of each in a stack.
+def _psd_check(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a PSD state, or of each in a stack.
 
     Raises ``NotHermitianError`` for a hermiticity defect above TOL_STRUCTURAL,
     and ``NotPSDError`` when :func:`_psd_min_eigenvalues` rejects ``m`` as
     given: the call the RK4 guard makes, so the two verdicts agree, and a
     state gets the same one alone and in a stack.
+    """
+    m = np.asarray(m, dtype=complex)
+    mh = dag(m)
+    # inf - inf and overflow make the defect NaN or inf, which fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = abs(m - mh).max(initial=0.0)
+    if not defect <= TOL_STRUCTURAL:
+        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
+    min_eig = _psd_min_eigenvalues(m)
+    if min_eig is not None and not min_eig.min() >= -TOL_STRUCTURAL:
+        raise NotPSDError(f"minimum eigenvalue {min_eig.min():.3e} below -{TOL_STRUCTURAL:.1e}")
+    return 0.5 * m + 0.5 * mh
+
+
+def _factor(h: np.ndarray) -> np.ndarray:
+    """A factor X with X X^H = h, for h the output of :func:`_psd_check`.
 
     A single 4x4 state takes X = V sqrt(max(w, 0)) from one complex ``eigh``.
     A stack takes four steps of left-looking Cholesky with diagonal pivoting,
@@ -142,24 +158,13 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
     trajectory and moved its concurrence by 1e-7.
 
     The steps run in real arithmetic, and X comes out real, when no entry of
-    the stack's Hermitian part has a nonzero imaginary part: collective decay
-    keeps a real start real, and the Bell, Werner, Bell-diagonal and MEMS
-    starts are real.  Complex arithmetic on zero imaginary parts rounds as
-    real arithmetic does, so X equals the real part of the complex result bit
-    for bit.  The verdict above stays complex in either case: LAPACK's real
+    the stack has a nonzero imaginary part: collective decay keeps a real
+    start real, and the Bell, Werner, Bell-diagonal and MEMS starts are real.
+    Complex arithmetic on zero imaginary parts rounds as real arithmetic
+    does, so X equals the real part of the complex result bit for bit.  The
+    verdict of :func:`_psd_check` stays complex in either case: LAPACK's real
     and complex Cholesky disagree on a few states at the threshold.
     """
-    m = np.asarray(m, dtype=complex)
-    mh = dag(m)
-    # inf - inf and overflow make the defect NaN or inf, which fails the check
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = abs(m - mh).max(initial=0.0)
-    if not defect <= TOL_STRUCTURAL:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
-    min_eig = _psd_min_eigenvalues(m)
-    if min_eig is not None and not min_eig.min() >= -TOL_STRUCTURAL:
-        raise NotPSDError(f"minimum eigenvalue {min_eig.min():.3e} below -{TOL_STRUCTURAL:.1e}")
-    h = 0.5 * m + 0.5 * mh
     if h.ndim == 2:
         w, v = np.linalg.eigh(h)
         return v * np.sqrt(np.where(w < 0.0, 0.0, w))
@@ -181,6 +186,12 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
         d -= col.real**2 + col.imag**2
         d[rows, p] = -np.inf
     return x.reshape(h.shape)
+
+
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """A factor X with X X^H the Hermitian part of a PSD state, or of each in
+    a stack: :func:`_factor` of :func:`_psd_check`, whose errors it raises."""
+    return _factor(_psd_check(m))
 
 
 def state_health(m: np.ndarray) -> tuple:

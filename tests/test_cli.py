@@ -467,6 +467,23 @@ class TestExitCodes:
         bad.write_text(json.dumps({"entries": entries}))
         assert main(["concurrence", "--state", str(bad)]) == EXIT_BAD_STATE
 
+    @pytest.mark.parametrize(
+        "rho14,rho41,detail",
+        [(0.6, 0.6, "positivity=1.000e-01"), (0.5, 0.4, "hermiticity=1.000e-01")],
+        ids=["not-psd", "not-hermitian"],
+    )
+    def test_invalid_x_state(self, tmp_path, capsys, rho14, rho41, detail):
+        """A state with entries on the diagonal and the anti-diagonal only,
+        which concurrence measures by a closed form, is still checked first."""
+        rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        rho[0, 3], rho[3, 0] = rho14, rho41
+        entries = [[float(x.real), float(x.imag)] for x in rho.ravel()]
+        state = _write_state(tmp_path, "x.json", {"entries": entries})
+        assert main(["concurrence", "--state", state]) == EXIT_BAD_STATE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: not a valid density matrix: {detail}\n"
+
     def test_missing_file(self, tmp_path):
         assert main(["concurrence", "--state", str(tmp_path / "nope.json")]) == EXIT_BAD_STATE
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom import qmat
+from twoatom.qmat import NotHermitianError, NotPSDError
 from twoatom.entanglement import (
     NotPureError,
     asymptotic_concurrence,
@@ -323,6 +324,12 @@ def _x_state_concurrence(stack):
     return 2.0 * np.maximum(0.0, np.maximum(outer, inner))
 
 
+def _general_concurrence(rho):
+    """The concurrence from wootters_lambdas, which no state shortcuts."""
+    lam = wootters_lambdas(rho)
+    return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
+
+
 _X_STARTS = {
     "phi_plus": bell("phi_plus"),
     "psi_plus": bell("psi_plus"),
@@ -337,9 +344,9 @@ _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 class TestXStateOracle:
-    """Collective decay keeps an X state an X state, so along every trajectory
-    from these starts the closed X-state formula is a second, solver-free
-    oracle for the Wootters concurrence."""
+    """Collective decay keeps an X state an X state, entry for entry, so along
+    every trajectory from these starts the closed X-state formula is a second,
+    solver-free oracle for the general Wootters path (wootters_lambdas)."""
 
     @pytest.mark.parametrize("g", [0.0, 0.3, 0.99, 1.0])
     @pytest.mark.parametrize("method", ["propagator", "rk4"])
@@ -351,9 +358,107 @@ class TestXStateOracle:
                 traj = evolve_series(rho, params, grid)
             else:
                 traj = evolve(rho, params, grid)
-            assert np.abs(traj[:, _OFF_X]).max() <= 1e-15, name
-            expected = _x_state_concurrence(traj)
-            assert np.abs(concurrence(traj) - expected).max() <= 1e-12, name
+            # exactly: concurrence takes the closed form only on exact X states
+            assert not traj[:, _OFF_X].any(), name
+            general = _general_concurrence(traj)
+            assert np.abs(general - _x_state_concurrence(traj)).max() <= 1e-12, name
+            assert np.abs(concurrence(traj) - general).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("g", [0.0, 0.3, 0.99, 1.0])
+    @pytest.mark.parametrize("gamma0", [1e-300, 1e300])
+    def test_closed_form_keeps_x_states_exactly_at_extreme_rates(self, gamma0, g):
+        grid = np.linspace(0.0, 4.0, 81) / gamma0
+        for name, rho in _X_STARTS.items():
+            assert not evolve(rho, ModelParams(gamma0, g), grid)[:, _OFF_X].any(), name
+
+
+def _raises(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return fail
+
+
+class TestXStatePath:
+    """concurrence measures a stack of X states by the closed form, with no
+    factor and no eigen- or SVD solver, after the same checks as any state."""
+
+    @pytest.fixture(scope="class")
+    def x_stack(self):
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        phased = bell("phi_plus").astype(complex)
+        phased[0, 3], phased[3, 0] = 0.5 * np.exp(0.7j), 0.5 * np.exp(-0.7j)
+        return np.array(
+            [bell(name) for name in BELL_NAMES]
+            + [werner(p) for p in (0.2, 1.0 / 3.0, 0.7)]
+            + [bell_diagonal(0.6, 0.1, 0.2, 0.1)]
+            + [mems(delta) for delta in (0.2, 2.0 / 3.0, 0.9, 1.0)]
+            + [np.kron(down, up), phased],
+            dtype=complex,
+        )
+
+    @pytest.fixture
+    def no_solver(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", _raises("svd"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _raises("eigvalsh"))
+        monkeypatch.setattr(qmat, "_factor", _raises("factor"))
+
+    def test_x_states_never_reach_a_solver(self, x_stack, no_solver):
+        grid = time_grid(5.0, 101)
+        traj = np.array([evolve(rho, ModelParams(1.0, 0.99), grid) for rho in x_stack])
+        for rho in (x_stack, traj, traj[0]):
+            assert concurrence(rho).shape == rho.shape[:-2]
+        for rho in x_stack:
+            assert type(concurrence(rho)) is float
+
+    @pytest.mark.parametrize("place", [(0, 1), (0, 2), (1, 3), (2, 3), (1, 0), (3, 2)])
+    @pytest.mark.parametrize("value", [1e-300, -1e-300, 1e-300j])
+    def test_one_off_x_entry_sends_the_stack_to_the_general_path(
+        self, x_stack, no_solver, place, value
+    ):
+        stack = x_stack.copy()
+        i, j = place
+        stack[5, i, j], stack[5, j, i] = value, np.conj(value)
+        with pytest.raises(AssertionError, match="factor called"):
+            concurrence(stack)
+        with pytest.raises(AssertionError, match="factor called"):
+            concurrence(stack[5])
+
+    def test_within_1e15_of_the_reference(self, x_stack):
+        reference = np.array([float(decimal_concurrence.concurrence(rho)) for rho in x_stack])
+        assert np.abs(concurrence(x_stack) - reference).max() <= 1e-15
+        assert np.abs([concurrence(rho) for rho in x_stack] - reference).max() <= 1e-15
+
+    @pytest.mark.parametrize("start", ["psi_plus", "excited_ground"])
+    def test_no_worse_than_the_general_path_on_a_trajectory(self, start):
+        """Against the reference the two paths err alike: 5.8e-15 at most on
+        the RK4 psi+ trajectory, whose states 1385 and near it are slightly
+        indefinite (see tests/decimal_concurrence.py), and 2.8e-15 from
+        excited x ground.  They round differently, so a state may land one
+        unit of 1.0's last place (eps) apart."""
+        traj = evolve_series(_X_STARTS[start], ModelParams(1.0, 0.99), time_grid(5.0, 2001))
+        states = traj[np.r_[0:2001:20, 1385]]
+        reference = np.array([float(decimal_concurrence.concurrence(rho)) for rho in states])
+        x_error = np.abs(concurrence(states) - reference)
+        general_error = np.abs(_general_concurrence(states) - reference)
+        assert np.all(x_error <= general_error + np.finfo(float).eps)
+        assert x_error.max() <= 6e-15
+
+    def test_checks_come_first(self, x_stack):
+        m = bell("phi_plus").astype(complex)
+        m[0, 3] = 0.6
+        with pytest.raises(NotHermitianError, match=r"^hermiticity defect 1.000e-01 exceeds"):
+            concurrence(m)
+        # eigenvalues 0.5 +- (0.5 + 2e-9): one below -TOL_STRUCTURAL
+        m[0, 3] = m[3, 0] = 0.5 + 2e-9
+        for rho in (m, np.array([x_stack[0], m])):
+            with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -2.000e-09 below"):
+                concurrence(rho)
+        for bad in (np.nan, complex(0.0, np.nan)):
+            m = x_stack.copy()
+            m[3, 1, 1] = bad
+            with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
+                concurrence(m)
+        assert concurrence(np.zeros((0, 4, 4))).shape == (0,)
 
 
 def _graded_state(seed, exponents):
@@ -463,7 +568,7 @@ class TestRealValuedStack:
         with pytest.raises(AssertionError, match="svd called"):
             concurrence(u @ states @ qmat.dag(u))
         with pytest.raises(AssertionError, match="svd called"):
-            concurrence(states[0])
+            wootters_lambdas(states[0])
 
     @pytest.mark.parametrize("a,b", [(0.4, 1.9), (1e-3, -2.5), (np.pi / 2, np.pi)])
     def test_real_and_complex_paths_agree(self, states, a, b):
