@@ -143,8 +143,10 @@ def golden_argvs(state_dir: Path) -> list[list[str]]:
         argvs.append(["peak", "--g", "0.3", "--format", fmt, "--output", out])
     # failed runs, which must leave no file, and "-" for stdout
     argvs.append(["evolve", "--state", paths["mes"], "--g", "2", "--output", out])
-    argvs.append(["evolve", "--state", paths["mes"], "--samples", "2", "--dt", "5", "--t-max",
-                  "50", "--output", out])
+    # the RK4 guard's failure line, on a non-X state and on real and complex X states
+    for name in ("mes", "excited_ground", "werner", "x_mixed", "phi_plus_phased"):
+        argvs.append(["evolve", "--state", paths[name], "--samples", "2", "--dt", "5",
+                      "--t-max", "50", "--output", out])
     argvs.append(["peak", "--g", "1", "--output", out])
     argvs.append(["peak", "--g", "0.3", "--output", "-"])
     for path in paths.values():

@@ -7,7 +7,6 @@ from .entanglement import (
     is_ppt_separable,
     mes_asymptotic_concurrence,
     product_asymptotic_concurrence,
-    spin_flip,
 )
 from .model import (
     ModelParams,
@@ -84,7 +83,6 @@ __all__ = [
     "product_asymptotic_concurrence",
     "product_state",
     "purity",
-    "spin_flip",
     "t_gamma",
     "validate_state",
     "werner",

@@ -11,26 +11,12 @@ import numpy as np
 
 from . import qmat
 
-#: sigma_2 x sigma_2, the spin-flip sandwich (real orthogonal symmetric)
-SPIN_FLIP_OP = np.kron(qmat.SIGMA_2, qmat.SIGMA_2)
-
-
 class NotPureError(ValueError):
     """Entropy of entanglement is defined for pure states only."""
 
 
-def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """Spin-flipped state (sigma2 x sigma2) conj(rho) (sigma2 x sigma2)."""
-    rho = np.asarray(rho, dtype=complex)
-    return SPIN_FLIP_OP @ rho.conj() @ SPIN_FLIP_OP
-
-
-#: flat indices of the entries outside the X pattern (the diagonal and the anti-diagonal)
-_OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
-
-
 def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho * spin_flip(rho), shape (..., 4).
+    """Descending square roots of the spectrum of rho s conj(rho) s, s = s2 x s2, shape (..., 4).
 
     Computed as the singular values of X^T (s2 x s2) X for any factor
     rho = X X^H: the complex conjugate of Wootters' tau = X^H (s2 x s2) conj(X)
@@ -50,7 +36,7 @@ def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
 
 def _lambdas(x: np.ndarray) -> np.ndarray:
     """:func:`wootters_lambdas` of the state X X^H."""
-    # SPIN_FLIP_OP is anti-diagonal, signs (-1, 1, 1, -1): X^T SPIN_FLIP_OP X = a + a^T
+    # s2 x s2 is anti-diagonal, signs (-1, 1, 1, -1): X^T (s2 x s2) X = a + a^T
     a = x[..., 1, :, None] * x[..., 2, None, :] - x[..., 0, :, None] * x[..., 3, None, :]
     b = a + a.swapaxes(-1, -2)
     if np.isrealobj(b):
@@ -61,36 +47,34 @@ def _lambdas(x: np.ndarray) -> np.ndarray:
 def concurrence(rho: np.ndarray):
     """Concurrence C(rho) = max(0, l1 - l2 - l3 - l4) in [0, 1].
 
-    The l_i are the descending square roots of the spectrum of
-    rho * spin_flip(rho); 0 for separable states, 1 for maximally
-    entangled pure states.  A float for one 4x4 state, an array of shape S
-    for a stack of shape S + (4, 4).
+    The l_i are :func:`wootters_lambdas`; 0 for separable states, 1 for
+    maximally entangled pure states.  A float for one 4x4 state, an array of
+    shape S for a stack of shape S + (4, 4).
 
-    rho is checked first (:func:`qmat._psd_check`), then one of four paths
-    measures its Hermitian part h:
+    One of four paths measures rho, each after the hermiticity and PSD checks
+    of :func:`qmat._psd_check`, with one verdict per state on every path:
       * X states, when no state of the input has a nonzero entry off the
-        diagonal and the anti-diagonal: the closed form
-        2 max(0, |h14| - sqrt(h22 h33), |h23| - sqrt(h11 h44)) (Yu & Eberly,
-        Quantum Inf. Comput. 7, 459 (2007)), with each h_ii clamped at 0,
-        and no factor or eigensolver.  Collective decay keeps an X state an
-        X state, entry for entry, and every start of the paper is one: the
-        excited x ground product, the Bell states, Werner, Bell-diagonal
-        and MEMS.
+        diagonal and the anti-diagonal: the checks and the Hermitian part h
+        come from the X entries alone (:func:`qmat._psd_check_x`), and the
+        closed form 2 max(0, |h14| - sqrt(h22 h33), |h23| - sqrt(h11 h44))
+        (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)), each h_ii clamped
+        at 0, needs no LAPACK call.  Collective decay keeps an X state an X
+        state, entry for entry, and every start of the paper is one.
       * a real stack: the pivoted Cholesky factor and a real ``eigvalsh``;
       * a complex stack: the same factor and a complex ``svd``;
       * a single state: an ``eigh`` factor and a complex ``svd``.
     The last three are :func:`wootters_lambdas`.
     """
-    h = qmat._psd_check(rho)
-    if h.reshape(h.shape[:-2] + (16,))[..., _OFF_X].any():
-        lam = _lambdas(qmat._factor(h))
+    m = np.asarray(rho, dtype=complex)
+    if m.reshape(m.shape[:-2] + (16,))[..., qmat._OFF_X].any():
+        lam = wootters_lambdas(m)
         c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     else:
-        d = np.maximum(h.diagonal(0, -2, -1).real, 0.0)
-        outer = abs(h[..., 0, 3]) - np.sqrt(d[..., 1] * d[..., 2])
-        inner = abs(h[..., 1, 2]) - np.sqrt(d[..., 0] * d[..., 3])
-        c = 2.0 * np.maximum(outer, inner)
-    c = np.clip(c, 0.0, 1.0)
+        # h11, h22, h44, h33, h14, h23; |h14| - sqrt(h22 h33) and |h23| - sqrt(h11 h44)
+        h = qmat._psd_check_x(m)
+        d = np.maximum(h[..., :4].real, 0.0)
+        c = 2.0 * (abs(h[..., 4:]) - np.sqrt(d[..., :2] * d[..., 2:])[..., ::-1]).max(-1)
+    c = np.minimum(np.maximum(c, 0.0), 1.0)
     return c if c.ndim else float(c)
 
 

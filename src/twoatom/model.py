@@ -138,9 +138,9 @@ def _check_positivity(traj: np.ndarray, t_grid: np.ndarray) -> None:
     """Raise at the first time whose state has an eigenvalue below -qmat.TOL_STRUCTURAL.
 
     That is the slack the entanglement measures accept, so a trajectory that
-    passes here can be measured.  The check is qmat's stacked Cholesky test
-    (:func:`qmat._psd_min_eigenvalues`); a trajectory that fails it has its
-    spectra computed, and they name the first bad time.
+    passes here can be measured.  The check is qmat's one PSD verdict
+    (:func:`qmat._psd_min_eigenvalues`: X states by their 2x2 blocks, the rest
+    by a stacked Cholesky); failing it, the spectra name the first bad time.
     """
     min_eig = qmat._psd_min_eigenvalues(traj)
     if min_eig is None:

@@ -38,6 +38,11 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_4 = np.eye(4, dtype=complex)
 
+#: flat indices: off the X pattern (diagonal, anti-diagonal); m11 m22 m44 m33 m14 m23; transposes
+_OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
+_X_UPPER = np.array([0, 5, 15, 10, 3, 6])
+_X_LOWER = np.array([0, 5, 15, 10, 12, 9])
+
 
 class NotHermitianError(ValueError):
     """Raised when a Hermitian matrix was expected."""
@@ -101,44 +106,78 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     return spectrum[..., ::-1]
 
 
+def _x_blocks_pd(e: np.ndarray) -> np.ndarray:
+    """Per X state, from ``e`` = m11, m22, m44, m33, m41, m32 (or conjugates): whether
+    its blocks {1,4}, {2,3} plus TOL_STRUCTURAL * I have Cholesky factors, d1 > 0 and
+    d4 - |m41|^2 / d1 > 0 for d_i = Re m_ii + TOL_STRUCTURAL.  Real steps, rounded per
+    entry, give a state the same bits in any stack; only a failing state overflows."""
+    d = e[..., :4].real + TOL_STRUCTURAL
+    with np.errstate(all="ignore"):
+        s = np.sqrt(d[..., :2])
+        return (d[..., 2:] - (e[..., 4:].real / s) ** 2 - (e[..., 4:].imag / s) ** 2 > 0.0).all(-1)
+
+
 def _psd_min_eigenvalues(m: np.ndarray):
     """None when ``m``, one state or a stack, passes the PSD check, else the
     minimum eigenvalue of each state's Hermitian part (NaN for a non-finite state).
 
-    A finite stack whose every state shifted by TOL_STRUCTURAL * I has a
-    Cholesky factor passes at once: the shift is positive definite exactly
-    when the minimum eigenvalue exceeds -TOL_STRUCTURAL, up to rounding at
-    the threshold (it reads the lower triangle only).  Only a stack that
-    fails it pays for the spectra of :func:`state_health`.
+    A finite input passes at once when every state shifted by TOL_STRUCTURAL * I
+    is positive definite, as it is exactly when its minimum eigenvalue exceeds
+    -TOL_STRUCTURAL, up to rounding at the threshold.  An X state (no nonzero
+    entry off the diagonal and the anti-diagonal) is decided by its 2x2 blocks
+    (:func:`_x_blocks_pd`), any other by one stacked Cholesky factor, both from
+    the lower triangle.  Each state has its own rule, so it gets one verdict
+    alone, in any stack and from the RK4 guard.  Only an input that fails pays
+    for the spectra of :func:`state_health`.
     """
     if np.isfinite(m).all():
-        try:
-            np.linalg.cholesky(m + TOL_STRUCTURAL * IDENTITY_4)
-            return None
-        except np.linalg.LinAlgError:
-            pass
+        flat = m.reshape(m.shape[:-2] + (16,))
+        x = flat[..., 1] == 0  # a nonzero m12 rules a state out, at an eighth of the cost
+        if x.any():
+            x &= ~flat[..., _OFF_X].any(-1)
+        other = m[~x] if x.any() else m
+        if other is m or (_x_blocks_pd(flat[..., _X_LOWER]) | ~x).all():
+            try:
+                if other.size:
+                    np.linalg.cholesky(other + TOL_STRUCTURAL * IDENTITY_4)
+                return None
+            except np.linalg.LinAlgError:
+                pass
     return state_health(m)[2][..., 0]
 
 
 def _psd_check(m: np.ndarray) -> np.ndarray:
-    """The Hermitian part of a PSD state, or of each in a stack.
-
-    Raises ``NotHermitianError`` for a hermiticity defect above TOL_STRUCTURAL,
-    and ``NotPSDError`` when :func:`_psd_min_eigenvalues` rejects ``m`` as
-    given: the call the RK4 guard makes, so the two verdicts agree, and a
-    state gets the same one alone and in a stack.
-    """
+    """The Hermitian part of a PSD state, or of each in a stack.  Raises
+    ``NotHermitianError`` for a hermiticity defect above TOL_STRUCTURAL, and
+    ``NotPSDError`` when :func:`_psd_min_eigenvalues` (the RK4 guard's call, one
+    rule per state: X blocks, else Cholesky) rejects ``m``: one verdict everywhere."""
     m = np.asarray(m, dtype=complex)
-    mh = dag(m)
+    return _checked_half_sum(m, dag(m), lambda: _psd_min_eigenvalues(m))
+
+
+def _psd_check_x(m: np.ndarray) -> np.ndarray:
+    """:func:`_psd_check` of a complex input with no nonzero entry off the X pattern,
+    from its X entries alone: h11, h22, h44, h33, h14, h23 per state, shape S + (6,).
+    Off-X entries add 0 to the defect and nothing to h, so both match the general
+    check's bit for bit; past the defect check every entry is finite: the X rule applies."""
+    flat = m.reshape(m.shape[:-2] + (16,))
+    a, b = flat[..., _X_UPPER], flat[..., _X_LOWER].conj()
+    return _checked_half_sum(
+        a, b, lambda: None if _x_blocks_pd(b).all() else state_health(m)[2][..., 0]
+    )
+
+
+def _checked_half_sum(a: np.ndarray, b: np.ndarray, min_eigenvalues) -> np.ndarray:
+    """0.5 a + 0.5 b (b: conjugates of a's transposes) once max|a - b| and the verdict pass."""
     # inf - inf and overflow make the defect NaN or inf, which fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = abs(m - mh).max(initial=0.0)
+        defect = abs(a - b).max(initial=0.0)
     if not defect <= TOL_STRUCTURAL:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
-    min_eig = _psd_min_eigenvalues(m)
+    min_eig = min_eigenvalues()
     if min_eig is not None and not min_eig.min() >= -TOL_STRUCTURAL:
         raise NotPSDError(f"minimum eigenvalue {min_eig.min():.3e} below -{TOL_STRUCTURAL:.1e}")
-    return 0.5 * m + 0.5 * mh
+    return 0.5 * a + 0.5 * b
 
 
 def _factor(h: np.ndarray) -> np.ndarray:
@@ -152,10 +191,9 @@ def _factor(h: np.ndarray) -> np.ndarray:
     A pivot at most eps tr(h) gives a zero column, so a rank-r state has
     4 - r of them; this is a backward-stable factor of a semidefinite matrix
     (Higham, "Analysis of the Cholesky decomposition of a semi-definite
-    matrix", 1990).  The cut is not larger because concurrence, a difference
-    of square roots, is not Lipschitz at a small eigenvalue: cutting at
-    16 eps tr(h) dropped an eigenvalue of 3.5e-15 from a state on an RK4
-    trajectory and moved its concurrence by 1e-7.
+    matrix", 1990).  The cut is not larger because concurrence is not
+    Lipschitz at a small eigenvalue (``TestPsdFactor`` pins a state of an
+    RK4 trajectory that a 16 eps tr(h) cut moves by 1e-7).
 
     The steps run in real arithmetic, and X comes out real, when no entry of
     the stack has a nonzero imaginary part: collective decay keeps a real

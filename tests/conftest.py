@@ -4,6 +4,15 @@ import pytest
 from twoatom import qmat
 
 
+#: sigma_2 x sigma_2, the spin-flip sandwich of Wootters' definition (PRL 80, 2245 (1998))
+SPIN_FLIP_OP = np.kron(qmat.SIGMA_2, qmat.SIGMA_2)
+
+
+def spin_flip(rho: np.ndarray) -> np.ndarray:
+    """Spin-flipped state (sigma2 x sigma2) conj(rho) (sigma2 x sigma2)."""
+    return SPIN_FLIP_OP @ np.asarray(rho, dtype=complex).conj() @ SPIN_FLIP_OP
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)

@@ -15,7 +15,6 @@ from twoatom.entanglement import (
     is_ppt_separable,
     mes_asymptotic_concurrence,
     product_asymptotic_concurrence,
-    spin_flip,
     wootters_lambdas,
 )
 from twoatom.model import ModelParams, evolve_series, time_grid
@@ -33,10 +32,12 @@ from twoatom.states import (
 
 import decimal_concurrence
 from conftest import (
+    SPIN_FLIP_OP,
     random_pure_state,
     random_qubit_vector,
     random_single_qubit_unitary,
     random_states,
+    spin_flip,
 )
 
 
@@ -278,8 +279,7 @@ def _sandwich_lambdas(rho):
     w, v = np.linalg.eigh(h)
     s = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ qmat.dag(v)
     s = 0.5 * (s + qmat.dag(s))
-    flip = np.kron(qmat.SIGMA_2, qmat.SIGMA_2)
-    return np.linalg.svd(s @ flip @ s.conj(), compute_uv=False)
+    return np.linalg.svd(s @ SPIN_FLIP_OP @ s.conj(), compute_uv=False)
 
 
 def _rank_k_state(rng, k):

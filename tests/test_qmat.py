@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from twoatom.model import (
     evolve_series,
     time_grid,
 )
-from twoatom.states import mes
+from twoatom.states import bell, bell_diagonal, mems, mes, product_state, werner
 from twoatom.qmat import (
     InvalidStateError,
     NotHermitianError,
@@ -257,6 +260,31 @@ def _accepts(check):
     return True
 
 
+def _x_threshold_states(seed, n):
+    """X states whose blocks {1,4} and {2,3} are V diag(w) V^H for Haar-random
+    2x2 unitaries V, one eigenvalue of a random block -TOL_STRUCTURAL (1 +- 1e-6)."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, (n, 2, 2))
+    w[np.arange(n), rng.integers(0, 2, n), 1] = -qmat.TOL_STRUCTURAL * (
+        1.0 + rng.uniform(-1e-6, 1e-6, n)
+    )
+    v, _ = np.linalg.qr(rng.standard_normal((n, 2, 2, 2)) + 1j * rng.standard_normal((n, 2, 2, 2)))
+    blocks = (v * w[..., None, :]) @ qmat.dag(v)
+    m = np.zeros((n, 4, 4), dtype=complex)
+    m[:, [[0], [3]], [0, 3]] = blocks[:, 0]
+    m[:, [[1], [2]], [1, 2]] = blocks[:, 1]
+    return m
+
+
+def _cholesky_passes(m):
+    """The PSD verdict by one stacked Cholesky factor of m + TOL_STRUCTURAL I."""
+    try:
+        np.linalg.cholesky(m + qmat.TOL_STRUCTURAL * I4)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class TestPsdVerdict:
     """A state at the threshold gets one PSD verdict: alone, in a stack and
     from the RK4 positivity guard."""
@@ -270,6 +298,115 @@ class TestPsdVerdict:
         ]
         assert [v for v in verdicts if len(set(v)) > 1] == []
         assert {v[0] for v in verdicts} == {True, False}  # both sides of the threshold
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_x_states_agree_alone_in_a_mixed_stack_and_in_the_guard(self, seed):
+        """An X state is decided by its blocks, the non-X states of a stack by
+        Cholesky.  The non-X threshold states beside it are ones that both
+        Cholesky and the spectra accept, so the stack's verdict is the X state's."""
+        others = _threshold_states(seed, 60)
+        others = others[[_cholesky_passes(o) and state_health(o)[2][0] >= -qmat.TOL_STRUCTURAL
+                         for o in others]][:8]
+        assert len(others) == 8
+        verdicts = [
+            (_accepts(lambda: concurrence(m)), _accepts(lambda: concurrence(m[None])),
+             _accepts(lambda: concurrence(np.insert(others, i % 9, m, axis=0))),
+             _accepts(lambda: _check_positivity(m[None], [1.0])))
+            for i, m in enumerate(_x_threshold_states(seed, 500))
+        ]
+        assert [v for v in verdicts if len(set(v)) > 1] == []
+        assert {v[0] for v in verdicts} == {True, False}  # both sides of the threshold
+
+
+def _raises(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return fail
+
+
+def _x_state(diagonal, rho14, rho23):
+    rho = np.diag(np.asarray(diagonal, dtype=complex))
+    rho[0, 3], rho[3, 0] = rho14, np.conj(rho14)
+    rho[1, 2], rho[2, 1] = rho23, np.conj(rho23)
+    return rho
+
+
+_PAPER_X_STARTS = [bell(name) for name in ("phi_plus", "phi_minus", "psi_plus", "psi_minus")] + [
+    product_state(qmat.EXCITED, qmat.GROUND), werner(0.7), bell_diagonal(0.6, 0.1, 0.2, 0.1),
+    mems(0.4), mems(0.9),
+]
+#: full-rank X states, and X states with a negative eigenvalue of 0.04 or more
+_PSD_X = [werner(0.7), bell_diagonal(0.6, 0.1, 0.2, 0.1),
+          _x_state([0.4, 0.2, 0.15, 0.25], 0.25 * np.exp(1.1j), 0.1 * np.exp(-0.4j))]
+_INDEFINITE_X = [_x_state([0.4, 0.2, 0.15, 0.25], 0.4, 0.0),
+                 _x_state([0.4, 0.2, 0.15, 0.25], 0.1j, -0.3),
+                 _x_state([-0.1, 0.5, 0.3, 0.3], 0.0, 0.0)]
+
+
+class TestXStateVerdict:
+    """Where the X states' block verdict runs, and what it does with extreme entries."""
+
+    def test_x_starts_never_reach_cholesky(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", _raises("cholesky"))
+        grid = time_grid(5.0, 201)
+        for rho in _PAPER_X_STARTS:
+            traj = evolve_series(rho, ModelParams(1.0, 0.99), grid)
+            assert concurrence(traj).shape == (201,)
+            assert 0.0 <= concurrence(traj[100]) <= 1.0
+        with pytest.raises(AssertionError, match="cholesky called"):
+            evolve_series(mes(0.3, 0.4, 1.9), ModelParams(1.0, 0.99), grid)
+
+    def test_mixed_stack_sends_only_its_non_x_states_to_cholesky(self, monkeypatch):
+        stack = np.array(_PSD_X + random_states(5, 3))
+        seen = []
+
+        def cholesky(a):
+            seen.append(a.shape)
+            return np.zeros_like(a)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        assert qmat._psd_min_eigenvalues(stack) is None
+        assert seen == [(3, 4, 4)]
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-310])
+    def test_extreme_entries_get_the_cholesky_verdict(self, scale):
+        """Scaled by 1e-150 or into the subnormals every state passes (the
+        shift dominates); scaled up the indefinite ones fail.  The overflow of
+        |m41|^2 / d1 on a failing state warns of nothing."""
+        states = [scale * m for m in _PSD_X + _INDEFINITE_X]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = [qmat._psd_min_eigenvalues(m) is None for m in states]
+            assert verdicts == [_cholesky_passes(m) for m in states]
+            assert verdicts == [qmat._psd_min_eigenvalues(m[None]) is None for m in states]
+            assert verdicts == [_accepts(lambda: _check_positivity(m[None], [1.0])) for m in states]
+        assert verdicts == ([True] * 6 if scale < 1.0 else [True] * 3 + [False] * 3)
+
+    def test_non_finite_x_states_take_the_spectra(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", _raises("cholesky"))
+        stack = np.array(_PSD_X, dtype=complex)
+        stack[0, 0, 3] = np.nan
+        stack[1, 1, 1] = np.inf
+        min_eig = qmat._psd_min_eigenvalues(stack)
+        assert np.isnan(min_eig[:2]).all() and min_eig[2] > 0.0
+        assert np.isnan(qmat._psd_min_eigenvalues(stack[1]))
+        for rho in (stack, stack[0], stack[1]):
+            with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
+                concurrence(rho)
+
+    def test_x_check_reads_what_the_general_check_reads(self):
+        """_psd_check_x returns the X entries of _psd_check's Hermitian part
+        bit for bit, and rejects with the same message."""
+        traj = evolve_series(_PSD_X[2], ModelParams(1.0, 0.7), time_grid(5.0, 101))
+        for rho in [traj, traj[7], np.array(_PAPER_X_STARTS, dtype=complex)]:
+            h = qmat._psd_check(rho).reshape(rho.shape[:-2] + (16,))[..., qmat._X_UPPER]
+            assert np.array_equal(qmat._psd_check_x(rho), h)
+        skewed = _x_state([0.4, 0.2, 0.15, 0.25], 0.1, 0.0)
+        skewed[3, 0] = 0.1 + 3e-9j
+        for bad in (skewed, _INDEFINITE_X[0].astype(complex)):
+            with pytest.raises(ValueError) as general:
+                qmat._psd_check(bad)
+            with pytest.raises(type(general.value), match=f"^{re.escape(str(general.value))}$"):
+                qmat._psd_check_x(bad)
 
 
 class TestValidateState:
