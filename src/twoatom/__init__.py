@@ -5,8 +5,6 @@ from .entanglement import (
     concurrence,
     entropy_of_entanglement,
     is_ppt_separable,
-    mes_asymptotic_concurrence,
-    product_asymptotic_concurrence,
 )
 from .model import (
     ModelParams,
@@ -77,10 +75,8 @@ __all__ = [
     "mems",
     "mems_h",
     "mes",
-    "mes_asymptotic_concurrence",
     "partial_trace",
     "partial_transpose_a",
-    "product_asymptotic_concurrence",
     "product_state",
     "purity",
     "t_gamma",

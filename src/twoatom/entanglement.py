@@ -21,21 +21,16 @@ def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     Computed as the singular values of X^T (s2 x s2) X for any factor
     rho = X X^H: the complex conjugate of Wootters' tau = X^H (s2 x s2) conj(X)
     (PRL 80, 2245 (1998)), so the same spectrum without forming sqrt(rho).
-    X is :func:`qmat._psd_factor`, which also checks that rho is a Hermitian
-    PSD state.  A stack with no nonzero imaginary entry gets a real X, so
-    X^T (s2 x s2) X is real symmetric and its singular values are the absolute
-    values of its eigenvalues: one real ``eigvalsh`` (LAPACK ``dsyevd``)
-    instead of the complex ``svd`` (``zgesdd``) that a complex stack and a
-    single state take.  Both are backward stable, but a true-zero lambda
-    still comes out as large as about 2e-8 (on random pure product states).
-    l1 - l2 - l3 - l4 cancels them: the concurrence of such a state is
-    about 1e-15 at most.
+    X is :func:`qmat._factor` of :func:`qmat._psd_check` (a Hermitian PSD state).
+    A stack with no nonzero imaginary entry gets a real X, so X^T (s2 x s2) X
+    is real symmetric and its singular values are the absolute values of its
+    eigenvalues: one real ``eigvalsh`` (LAPACK ``dsyevd``) instead of the
+    complex ``svd`` (``zgesdd``) that a complex stack and a single state take.
+    Both are backward stable, but a true-zero lambda still comes out as large
+    as about 2e-8 (on random pure product states).  l1 - l2 - l3 - l4 cancels
+    them: the concurrence of such a state is about 1e-15 at most.
     """
-    return _lambdas(qmat._psd_factor(rho))
-
-
-def _lambdas(x: np.ndarray) -> np.ndarray:
-    """:func:`wootters_lambdas` of the state X X^H."""
+    x = qmat._factor(qmat._psd_check(rho))
     # s2 x s2 is anti-diagonal, signs (-1, 1, 1, -1): X^T (s2 x s2) X = a + a^T
     a = x[..., 1, :, None] * x[..., 2, None, :] - x[..., 0, :, None] * x[..., 3, None, :]
     b = a + a.swapaxes(-1, -2)
@@ -66,12 +61,12 @@ def concurrence(rho: np.ndarray):
     The last three are :func:`wootters_lambdas`.
     """
     m = np.asarray(rho, dtype=complex)
-    if m.reshape(m.shape[:-2] + (16,))[..., qmat._OFF_X].any():
+    h = qmat._psd_check_x(m)
+    if h is None:
         lam = wootters_lambdas(m)
         c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     else:
         # h11, h22, h44, h33, h14, h23; |h14| - sqrt(h22 h33) and |h23| - sqrt(h11 h44)
-        h = qmat._psd_check_x(m)
         d = np.maximum(h[..., :4].real, 0.0)
         c = 2.0 * (abs(h[..., 4:]) - np.sqrt(d[..., :2] * d[..., 2:])[..., ::-1]).max(-1)
     c = np.minimum(np.maximum(c, 0.0), 1.0)
@@ -88,18 +83,6 @@ def asymptotic_concurrence(rho0: np.ndarray):
     r = np.asarray(rho0, dtype=complex)
     c = 0.5 * np.abs((r[..., 1, 1] + r[..., 2, 2] - 2.0 * r[..., 1, 2].real).real)
     return c if c.ndim else float(c)
-
-
-def product_asymptotic_concurrence(psi: np.ndarray, phi: np.ndarray) -> float:
-    """Stationary concurrence (1 - |<psi, phi>|^2) / 2 for a product start."""
-    overlap = np.vdot(np.asarray(psi, dtype=complex), np.asarray(phi, dtype=complex))
-    return float(0.5 * (1.0 - abs(overlap) ** 2))
-
-
-def mes_asymptotic_concurrence(a: float, theta1: float, theta2: float) -> float:
-    """Stationary concurrence (1 - a^2)(1 - cos(theta1 - theta2)) / 2
-    for a maximally entangled start from the (a, theta1, theta2) family."""
-    return float(0.5 * (1.0 - a**2) * (1.0 - np.cos(theta1 - theta2)))
 
 
 def is_ppt_separable(rho: np.ndarray) -> bool:

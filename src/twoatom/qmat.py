@@ -28,9 +28,6 @@ TOL_STRUCTURAL = 1e-9
 EXCITED = np.array([1.0, 0.0], dtype=complex)
 GROUND = np.array([0.0, 1.0], dtype=complex)
 
-#: Pauli matrix needed for the spin flip
-SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
 #: sigma_plus = |1><0|, sigma_minus = |0><1|
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -126,9 +123,10 @@ def _psd_min_eigenvalues(m: np.ndarray):
     -TOL_STRUCTURAL, up to rounding at the threshold.  An X state (no nonzero
     entry off the diagonal and the anti-diagonal) is decided by its 2x2 blocks
     (:func:`_x_blocks_pd`), any other by one stacked Cholesky factor, both from
-    the lower triangle.  Each state has its own rule, so it gets one verdict
-    alone, in any stack and from the RK4 guard.  Only an input that fails pays
-    for the spectra of :func:`state_health`.
+    the lower triangle.  Only an input that fails pays for the spectra of
+    :func:`state_health`; in a stack, each state they reject is asked alone, up
+    to the first that fails alone, and one that passes reads +inf.  So a state
+    gets one verdict alone, in any stack and from the RK4 guard.
     """
     if np.isfinite(m).all():
         flat = m.reshape(m.shape[:-2] + (16,))
@@ -143,7 +141,14 @@ def _psd_min_eigenvalues(m: np.ndarray):
                 return None
             except np.linalg.LinAlgError:
                 pass
-    return state_health(m)[2][..., 0]
+    min_eig = state_health(m)[2][..., 0]
+    if m.ndim > 2:
+        for i in zip(*np.nonzero(~(min_eig >= -TOL_STRUCTURAL))):
+            alone = _psd_min_eigenvalues(m[i])
+            if alone is not None and not alone >= -TOL_STRUCTURAL:
+                break
+            min_eig[i] = np.inf
+    return min_eig
 
 
 def _psd_check(m: np.ndarray) -> np.ndarray:
@@ -155,15 +160,18 @@ def _psd_check(m: np.ndarray) -> np.ndarray:
     return _checked_half_sum(m, dag(m), lambda: _psd_min_eigenvalues(m))
 
 
-def _psd_check_x(m: np.ndarray) -> np.ndarray:
-    """:func:`_psd_check` of a complex input with no nonzero entry off the X pattern,
-    from its X entries alone: h11, h22, h44, h33, h14, h23 per state, shape S + (6,).
-    Off-X entries add 0 to the defect and nothing to h, so both match the general
-    check's bit for bit; past the defect check every entry is finite: the X rule applies."""
+def _psd_check_x(m: np.ndarray) -> np.ndarray | None:
+    """None when some state of the complex input ``m`` has a nonzero entry off the X
+    pattern (diagonal, anti-diagonal), else :func:`_psd_check` from its X entries
+    alone: h11, h22, h44, h33, h14, h23 per state, shape S + (6,).  Off-X entries
+    add 0 to the defect and nothing to h, so both match the general check's bit for
+    bit; past the defect check every entry is finite: the X rule applies."""
     flat = m.reshape(m.shape[:-2] + (16,))
+    if flat[..., _OFF_X].any():
+        return None
     a, b = flat[..., _X_UPPER], flat[..., _X_LOWER].conj()
     return _checked_half_sum(
-        a, b, lambda: None if _x_blocks_pd(b).all() else state_health(m)[2][..., 0]
+        a, b, lambda: None if _x_blocks_pd(b).all() else _psd_min_eigenvalues(m)
     )
 
 
@@ -224,12 +232,6 @@ def _factor(h: np.ndarray) -> np.ndarray:
         d -= col.real**2 + col.imag**2
         d[rows, p] = -np.inf
     return x.reshape(h.shape)
-
-
-def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """A factor X with X X^H the Hermitian part of a PSD state, or of each in
-    a stack: :func:`_factor` of :func:`_psd_check`, whose errors it raises."""
-    return _factor(_psd_check(m))
 
 
 def state_health(m: np.ndarray) -> tuple:

@@ -4,8 +4,10 @@ import pytest
 from twoatom import qmat
 
 
-#: sigma_2 x sigma_2, the spin-flip sandwich of Wootters' definition (PRL 80, 2245 (1998))
-SPIN_FLIP_OP = np.kron(qmat.SIGMA_2, qmat.SIGMA_2)
+#: Pauli matrix sigma_2, and sigma_2 x sigma_2, the spin-flip sandwich of
+#: Wootters' definition (PRL 80, 2245 (1998))
+SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SPIN_FLIP_OP = np.kron(SIGMA_2, SIGMA_2)
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:

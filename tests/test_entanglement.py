@@ -13,8 +13,6 @@ from twoatom.entanglement import (
     concurrence,
     entropy_of_entanglement,
     is_ppt_separable,
-    mes_asymptotic_concurrence,
-    product_asymptotic_concurrence,
     wootters_lambdas,
 )
 from twoatom.model import ModelParams, evolve_series, time_grid
@@ -116,41 +114,56 @@ class TestAsymptoticConcurrence:
             assert abs(c_direct - c_full) < 1e-10
 
 
+def product_asymptotic_concurrence(psi, phi):
+    """The paper's stationary concurrence (1 - |<psi, phi>|^2) / 2 of a product start."""
+    return 0.5 * (1.0 - abs(np.vdot(psi, phi)) ** 2)
+
+
+def mes_asymptotic_concurrence(a, theta1, theta2):
+    """The paper's stationary concurrence (1 - a^2)(1 - cos(theta1 - theta2)) / 2
+    of a start from the maximally entangled family mes(a, theta1, theta2)."""
+    return 0.5 * (1.0 - a**2) * (1.0 - np.cos(theta1 - theta2))
+
+
 class TestProductAsymptoticConcurrence:
+    """asymptotic_concurrence of a product start against the paper's formula."""
+
     def test_orthogonal_maximal(self):
-        assert product_asymptotic_concurrence(qmat.EXCITED, qmat.GROUND) == pytest.approx(
-            0.5, abs=1e-15
-        )
+        c = asymptotic_concurrence(product_state(qmat.EXCITED, qmat.GROUND))
+        assert c == pytest.approx(0.5, abs=1e-15)
+        assert c == pytest.approx(product_asymptotic_concurrence(qmat.EXCITED, qmat.GROUND), abs=1e-15)
 
     def test_parallel_zero(self, rng):
         psi = random_qubit_vector(rng)
-        assert product_asymptotic_concurrence(psi, psi) == pytest.approx(0.0, abs=1e-12)
+        c = asymptotic_concurrence(product_state(psi, psi))
+        assert c == pytest.approx(0.0, abs=1e-12)
+        assert c == pytest.approx(product_asymptotic_concurrence(psi, psi), abs=1e-12)
 
     def test_half_overlap_and_consistency(self):
         phi = (qmat.GROUND + qmat.EXCITED) / np.sqrt(2)
-        c = product_asymptotic_concurrence(qmat.EXCITED, phi)
+        c = asymptotic_concurrence(product_state(qmat.EXCITED, phi))
         assert c == pytest.approx(0.25, abs=1e-15)
-        assert c == pytest.approx(
-            asymptotic_concurrence(product_state(qmat.EXCITED, phi)), abs=1e-12
-        )
+        assert c == pytest.approx(product_asymptotic_concurrence(qmat.EXCITED, phi), abs=1e-12)
 
 
 class TestMesAsymptoticConcurrence:
+    """asymptotic_concurrence of an mes(a, theta1, theta2) start against the paper's formula."""
+
     def test_amplitude_one_separates(self):
-        assert mes_asymptotic_concurrence(1.0, 0.3, 2.0) == pytest.approx(0.0, abs=1e-15)
+        c = asymptotic_concurrence(mes(1.0, 0.3, 2.0))
+        assert c == pytest.approx(0.0, abs=1e-15)
+        assert c == pytest.approx(mes_asymptotic_concurrence(1.0, 0.3, 2.0), abs=1e-15)
 
     def test_pi_phase_stays_maximal(self):
-        assert mes_asymptotic_concurrence(0.0, np.pi, 0.0) == pytest.approx(
-            1.0, abs=1e-15
-        )
+        c = asymptotic_concurrence(mes(0.0, np.pi, 0.0))
+        assert c == pytest.approx(1.0, abs=1e-15)
+        assert c == pytest.approx(mes_asymptotic_concurrence(0.0, np.pi, 0.0), abs=1e-15)
 
     def test_half_and_consistency(self):
         a = np.sqrt(0.5)
-        c = mes_asymptotic_concurrence(a, np.pi, 0.0)
+        c = asymptotic_concurrence(mes(a, np.pi, 0.0))
         assert c == pytest.approx(0.5, abs=1e-12)
-        assert c == pytest.approx(
-            asymptotic_concurrence(mes(a, np.pi, 0.0)), abs=1e-12
-        )
+        assert c == pytest.approx(mes_asymptotic_concurrence(a, np.pi, 0.0), abs=1e-12)
 
 
 class TestPpt:
@@ -551,7 +564,7 @@ class TestRealValuedStack:
         """Within 1e-15, except where the smallest eigenvalue lies below the
         factor's cut: a zero column there costs 1.4e-13 to 1.6e-11, the same in
         complex arithmetic."""
-        assert not np.iscomplexobj(qmat._psd_factor(states))
+        assert not np.iscomplexobj(qmat._factor(qmat._psd_check(states)))
         error = np.abs(concurrence(states) - reference)
         below_cut = np.arange(12, 17)  # near_psi_plus[1:6]
         assert np.delete(error, below_cut).max() <= 1e-15
@@ -574,5 +587,5 @@ class TestRealValuedStack:
     def test_real_and_complex_paths_agree(self, states, a, b):
         u = _local_phases(a, b)
         phased = u @ states @ qmat.dag(u)
-        assert np.iscomplexobj(qmat._psd_factor(phased))
+        assert np.iscomplexobj(qmat._factor(qmat._psd_check(phased)))
         assert np.abs(concurrence(phased) - concurrence(states)).max() <= 8 * np.finfo(float).eps

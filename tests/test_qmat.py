@@ -224,7 +224,7 @@ class TestPsdFactor:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_factor_reproduces_the_hermitian_part(self, rank):
         stack = _rank_k_stack(93 + rank, rank, 300)
-        x = qmat._psd_factor(stack)
+        x = qmat._factor(qmat._psd_check(stack))
         assert x.shape == stack.shape
         assert np.abs(x @ qmat.dag(x) - 0.5 * (stack + qmat.dag(stack))).max() <= 1e-14
 
@@ -317,6 +317,22 @@ class TestPsdVerdict:
         assert [v for v in verdicts if len(set(v)) > 1] == []
         assert {v[0] for v in verdicts} == {True, False}  # both sides of the threshold
 
+    @pytest.mark.parametrize("states", [_threshold_states, _x_threshold_states])
+    def test_a_pair_passes_exactly_when_both_states_pass_alone(self, states):
+        """A stack that fails its fast verdict takes the spectra, which at the
+        threshold can reject a state that passes alone (pair 18 of
+        _threshold_states(0, 500)); such a state is asked alone."""
+        m = states(0, 500)
+        alone = [_accepts(lambda: concurrence(rho)) for rho in m]
+        disagreements = [
+            i for i in range(0, 500, 2)
+            if {_accepts(lambda: concurrence(m[i:i + 2])),
+                _accepts(lambda: _check_positivity(m[i:i + 2], [0.0, 1.0]))}
+            != {alone[i] and alone[i + 1]}
+        ]
+        assert disagreements == []
+        assert {alone[i] and alone[i + 1] for i in range(0, 500, 2)} == {True, False}
+
 
 def _raises(name):
     def fail(*args, **kwargs):
@@ -395,11 +411,15 @@ class TestXStateVerdict:
 
     def test_x_check_reads_what_the_general_check_reads(self):
         """_psd_check_x returns the X entries of _psd_check's Hermitian part
-        bit for bit, and rejects with the same message."""
+        bit for bit, rejects with the same message, and returns None when a
+        state has a nonzero off-X entry."""
         traj = evolve_series(_PSD_X[2], ModelParams(1.0, 0.7), time_grid(5.0, 101))
         for rho in [traj, traj[7], np.array(_PAPER_X_STARTS, dtype=complex)]:
             h = qmat._psd_check(rho).reshape(rho.shape[:-2] + (16,))[..., qmat._X_UPPER]
             assert np.array_equal(qmat._psd_check_x(rho), h)
+        mixed = np.array(_PSD_X + random_states(5, 1), dtype=complex)
+        for rho in (mixed, mixed[-1], mes(0.3, 0.4, 1.9).astype(complex)):
+            assert qmat._psd_check_x(rho) is None
         skewed = _x_state([0.4, 0.2, 0.15, 0.25], 0.1, 0.0)
         skewed[3, 0] = 0.1 + 3e-9j
         for bad in (skewed, _INDEFINITE_X[0].astype(complex)):
