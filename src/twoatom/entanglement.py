@@ -22,21 +22,15 @@ def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     rho = X X^H: the complex conjugate of Wootters' tau = X^H (s2 x s2) conj(X)
     (PRL 80, 2245 (1998)), so the same spectrum without forming sqrt(rho).
     X is :func:`qmat._factor` of :func:`qmat._psd_check` (a Hermitian PSD state).
-    A stack with no nonzero imaginary entry gets a real X, so X^T (s2 x s2) X
-    is real symmetric and its singular values are the absolute values of its
-    eigenvalues: one real ``eigvalsh`` (LAPACK ``dsyevd``) instead of the
-    complex ``svd`` (``zgesdd``) that a complex stack and a single state take.
-    Both are backward stable, but a true-zero lambda still comes out as large
-    as about 2e-8 (on random pure product states).  l1 - l2 - l3 - l4 cancels
+    The singular values come from one complex ``svd`` (LAPACK ``zgesdd``), which
+    is backward stable, but a true-zero lambda still comes out as large as
+    about 2e-8 (on random pure product states).  l1 - l2 - l3 - l4 cancels
     them: the concurrence of such a state is about 1e-15 at most.
     """
     x = qmat._factor(qmat._psd_check(rho))
     # s2 x s2 is anti-diagonal, signs (-1, 1, 1, -1): X^T (s2 x s2) X = a + a^T
     a = x[..., 1, :, None] * x[..., 2, None, :] - x[..., 0, :, None] * x[..., 3, None, :]
-    b = a + a.swapaxes(-1, -2)
-    if np.isrealobj(b):
-        return np.sort(np.abs(np.linalg.eigvalsh(b)), axis=-1)[..., ::-1]
-    return np.linalg.svd(b, compute_uv=False)
+    return np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
 
 
 def concurrence(rho: np.ndarray):
@@ -46,7 +40,7 @@ def concurrence(rho: np.ndarray):
     maximally entangled pure states.  A float for one 4x4 state, an array of
     shape S for a stack of shape S + (4, 4).
 
-    One of four paths measures rho, each after the hermiticity and PSD checks
+    One of three paths measures rho, each after the hermiticity and PSD checks
     of :func:`qmat._psd_check`, with one verdict per state on every path:
       * X states, when no state of the input has a nonzero entry off the
         diagonal and the anti-diagonal: the checks and the Hermitian part h
@@ -55,10 +49,9 @@ def concurrence(rho: np.ndarray):
         (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)), each h_ii clamped
         at 0, needs no LAPACK call.  Collective decay keeps an X state an X
         state, entry for entry, and every start of the paper is one.
-      * a real stack: the pivoted Cholesky factor and a real ``eigvalsh``;
-      * a complex stack: the same factor and a complex ``svd``;
-      * a single state: an ``eigh`` factor and a complex ``svd``.
-    The last three are :func:`wootters_lambdas`.
+      * any other stack: a pivoted Cholesky factor and a complex ``svd``;
+      * any other single state: an ``eigh`` factor and a complex ``svd``.
+    The last two are :func:`wootters_lambdas`.
     """
     m = np.asarray(rho, dtype=complex)
     h = qmat._psd_check_x(m)

@@ -145,19 +145,15 @@ def _require_peak_rates(gamma0: float, gamma: float) -> None:
         raise DegenerateRatesError(f"peak formulas need gamma > 0, got gamma={gamma}")
 
 
-def _log_rate_ratio(gamma0: float, gamma: float) -> float:
-    """log((gamma0 + gamma)/(gamma0 - gamma)), accurate where the ratio rounds to 1."""
-    return np.log1p(2.0 * gamma / (gamma0 - gamma))
-
-
 def t_gamma(gamma0: float, gamma: float) -> float:
     """Time of maximal transient concurrence for the excited-ground start."""
     _require_peak_rates(gamma0, gamma)
-    return float(_log_rate_ratio(gamma0, gamma) / (2.0 * gamma))
+    # log((gamma0 + gamma)/(gamma0 - gamma)), accurate where the ratio rounds to 1
+    return float(np.log1p(2.0 * gamma / (gamma0 - gamma)) / (2.0 * gamma))
 
 
 def c_max(gamma0: float, gamma: float) -> float:
     """Peak value of the transient concurrence exp(-gamma0 t) sinh(gamma t)."""
-    _require_peak_rates(gamma0, gamma)
-    log_ratio = _log_rate_ratio(gamma0, gamma)
-    return float(gamma / (gamma0 - gamma) * np.exp(-(gamma0 + gamma) / (2.0 * gamma) * log_ratio))
+    t = t_gamma(gamma0, gamma)
+    # (gamma0 + gamma) * t: the quotient (gamma0 + gamma) / (2 gamma) overflows for a subnormal gamma
+    return float(gamma / (gamma0 - gamma) * np.exp(-(gamma0 + gamma) * t))

@@ -92,9 +92,9 @@ def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, sorted descending.
+    """Real spectrum of a Hermitian matrix, or of each in a stack, sorted descending.
 
-    Raises ``NotHermitianError`` if ``m`` is not Hermitian within TOL_STRUCTURAL.
+    Raises ``NotHermitianError`` if some matrix is not Hermitian within TOL_STRUCTURAL.
     """
     defect, _, spectrum = state_health(m)
     defect = defect.max(initial=0.0)
@@ -202,21 +202,11 @@ def _factor(h: np.ndarray) -> np.ndarray:
     matrix", 1990).  The cut is not larger because concurrence is not
     Lipschitz at a small eigenvalue (``TestPsdFactor`` pins a state of an
     RK4 trajectory that a 16 eps tr(h) cut moves by 1e-7).
-
-    The steps run in real arithmetic, and X comes out real, when no entry of
-    the stack has a nonzero imaginary part: collective decay keeps a real
-    start real, and the Bell, Werner, Bell-diagonal and MEMS starts are real.
-    Complex arithmetic on zero imaginary parts rounds as real arithmetic
-    does, so X equals the real part of the complex result bit for bit.  The
-    verdict of :func:`_psd_check` stays complex in either case: LAPACK's real
-    and complex Cholesky disagree on a few states at the threshold.
     """
     if h.ndim == 2:
         w, v = np.linalg.eigh(h)
         return v * np.sqrt(np.where(w < 0.0, 0.0, w))
     hs = h.reshape(-1, 4, 4)
-    if not hs.imag.any():
-        hs = hs.real
     rows = np.arange(len(hs))
     x = np.zeros_like(hs)
     d = hs.diagonal(0, -2, -1).real.copy()

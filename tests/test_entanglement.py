@@ -531,8 +531,7 @@ def _local_phases(a, b):
 
 
 class TestRealValuedStack:
-    """A stack with no nonzero imaginary entry takes real arithmetic: a real
-    factor and eigvalsh of the real symmetric Wootters product, not svd."""
+    """A stack of real-valued non-X states, trajectories among them, against the reference."""
 
     @pytest.fixture(scope="class")
     def states(self):
@@ -560,32 +559,16 @@ class TestRealValuedStack:
     def reference(self, states):
         return np.array([float(decimal_concurrence.concurrence(rho)) for rho in states])
 
-    def test_real_path_against_the_reference(self, states, reference):
+    def test_real_valued_stack_against_the_reference(self, states, reference):
         """Within 1e-15, except where the smallest eigenvalue lies below the
-        factor's cut: a zero column there costs 1.4e-13 to 1.6e-11, the same in
-        complex arithmetic."""
-        assert not np.iscomplexobj(qmat._factor(qmat._psd_check(states)))
+        factor's cut: a zero column there costs 1.4e-13 to 1.6e-11."""
         error = np.abs(concurrence(states) - reference)
         below_cut = np.arange(12, 17)  # near_psi_plus[1:6]
         assert np.delete(error, below_cut).max() <= 1e-15
         assert error[below_cut].max() <= 2e-11
 
-    def test_real_stack_never_reaches_svd(self, states, monkeypatch):
-        def svd(*args, **kwargs):
-            raise AssertionError("svd called")
-
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        assert concurrence(states).shape == (len(states),)
-        assert concurrence(states[:0]).shape == (0,)
-        u = _local_phases(0.4, 1.9)
-        with pytest.raises(AssertionError, match="svd called"):
-            concurrence(u @ states @ qmat.dag(u))
-        with pytest.raises(AssertionError, match="svd called"):
-            wootters_lambdas(states[0])
-
     @pytest.mark.parametrize("a,b", [(0.4, 1.9), (1e-3, -2.5), (np.pi / 2, np.pi)])
     def test_real_and_complex_paths_agree(self, states, a, b):
         u = _local_phases(a, b)
         phased = u @ states @ qmat.dag(u)
-        assert np.iscomplexobj(qmat._factor(qmat._psd_check(phased)))
         assert np.abs(concurrence(phased) - concurrence(states)).max() <= 8 * np.finfo(float).eps
