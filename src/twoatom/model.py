@@ -9,9 +9,9 @@ Hamiltonian part):
            + (gamma/2)  [2 sA rho sB+ + 2 sB rho sA+ - {sA+ sB + sB+ sA, rho}]
 
 with sA = sigma_minus x I and sB = I x sigma_minus.  :func:`lindblad_rhs`
-is the one definition of L; the 16x16 Liouvillian is L applied to the 16
-matrix units.  The numerical solver here is the independent oracle for
-every closed-form result in :mod:`twoatom.propagator`.
+is the one definition of L, built on :func:`_channels`; the 16x16 Liouvillian
+applies the channels to the 16 matrix units once, at import.  The solver is
+the independent oracle for every closed-form result in :mod:`twoatom.propagator`.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ _UNITS = _IDENTITY_16.reshape(16, 4, 4)
 
 #: smallest gamma0 * step.  Below it the diagonal of the step polynomial
 #: I + hL + ... loses the digits of hL to rounding, and that loss compounds
-#: over ~1/(gamma0 * step) steps: on the excited x ground start at g = 0.5 the
-#: state error on [0, 5/gamma0] is 6e-10 at 1e-8, 1e-7 at 1e-10, 2e-5 at
-#: 1e-12 and 0.1 at 1e-16, against 1.5e-13 at the default step.
+#: over ~1/(gamma0 * step) steps (errors per step size: CHANGES.md, "One exact propagator").
 MIN_SCALED_STEP = 1e-10
 
 
@@ -92,12 +90,8 @@ def time_grid(t_max: float, samples: int) -> np.ndarray:
     return grid
 
 
-def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Right-hand side L(rho), of one 4x4 matrix or of each in a stack.
-
-    Traceless, and Hermitian for Hermitian input.
-    """
-    rho = np.asarray(rho, dtype=complex)
+def _channels(rho: np.ndarray):
+    """The own and cross brackets of L(rho) without their rates: ``(own, cross)``."""
     own = (
         2.0 * SIGMA_MINUS_A @ rho @ SIGMA_PLUS_A
         + 2.0 * SIGMA_MINUS_B @ rho @ SIGMA_PLUS_B
@@ -110,15 +104,27 @@ def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
         - _M_OP @ rho
         - rho @ _M_OP
     )
+    return own, cross
+
+
+def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Right-hand side L(rho) of a 4x4 matrix or a stack; traceless, Hermitian for Hermitian rho."""
+    own, cross = _channels(np.asarray(rho, dtype=complex))
     return 0.5 * params.gamma0 * own + 0.5 * params.gamma * cross
+
+
+#: the channels of the 16 matrix units on row-major vec(rho), column k from E_k; read-only
+_L_OWN, _L_CROSS = (c.reshape(16, 16).T for c in _channels(_UNITS))
+_L_OWN.flags.writeable = _L_CROSS.flags.writeable = False
 
 
 def liouvillian(params: ModelParams) -> np.ndarray:
     """16x16 matrix representing L on row-major vec(rho); the integrator steps it.
 
-    Column k is vec(L(E_k)) for the k-th matrix unit E_k.
+    Column k is vec(L(E_k)) for the k-th matrix unit E_k, bit for bit: the
+    channels of E_k, applied once at import, weighted as :func:`lindblad_rhs` does.
     """
-    return lindblad_rhs(_UNITS, params).reshape(16, 16).T
+    return 0.5 * params.gamma0 * _L_OWN + 0.5 * params.gamma * _L_CROSS
 
 
 def _rk4_step_matrix(lv: np.ndarray, h: float) -> np.ndarray:
@@ -201,25 +207,19 @@ def _run_plan(t_grid: np.ndarray, step: float):
 def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1e-3) -> np.ndarray:
     """States at every grid time from a single integrator pass, shape (T, 4, 4).
 
-    The grid must be finite, nonnegative and strictly ascending, and
-    ``step`` finite with ``params.gamma0 * step`` at least
-    :data:`MIN_SCALED_STEP`; :class:`ParameterError` names the first
-    offending time or the step.  Each
+    The grid must be finite, nonnegative and strictly ascending, and ``step``
+    finite with ``params.gamma0 * step`` at least :data:`MIN_SCALED_STEP`;
+    :class:`ParameterError` names the first offending time or the step.  Each
     interval between samples (the first from t = 0) takes whole steps of
     ``step`` plus one shorter remainder step, so a step above the sample
-    spacing acts as the spacing.  A run of equal gaps (:func:`_run_plan`)
-    takes their mean, which equals every one of them within a few ulps of
-    t; a ``linspace`` grid is at most two runs, its first sample and the
-    rest.  Each run takes the advance matrix of its (whole steps, remainder)
-    pair, built once per distinct pair in the call, and is filled by
-    doubling: its first k states times the k-th power of that matrix give
-    the next k.
-
-    One advance matrix for a whole run makes its rounding compound
-    coherently, as on any grid of one gap.  On [0, 5] at gamma0 = 1 the
-    largest deviation from the exact propagator is about 5.6e-14 at 2,001
-    samples and 2.5e-13 at 20,001; a matrix per distinct rounded gap gave
-    4.5e-14 and 5.3e-14.
+    spacing acts as the spacing.  A run of equal gaps (:func:`_run_plan`) takes
+    their mean, which equals every one of them within a few ulps of t; a
+    ``linspace`` grid is at most two runs, its first sample and the rest.  Each
+    run takes the advance matrix of its (whole steps, remainder) pair, built
+    once per distinct pair in the call, and is filled by doubling: its first k
+    states times the k-th power of that matrix give the next k.  One advance
+    matrix per run compounds its rounding coherently, as on any grid of one
+    gap (deviations measured: CHANGES.md, "The RK4 trajectory by runs").
     """
     floor = MIN_SCALED_STEP / params.gamma0
     if not floor <= step < np.inf:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoatom import propagator, qmat
+from twoatom import model, propagator, qmat
 from twoatom.model import (
     ModelParams,
     ParameterError,
@@ -92,6 +92,40 @@ class TestLiouvillian:
             decay = 0.5 * (rates[:, None] + rates[None, :]).ravel()
             assert np.abs(np.diag(lv) + decay).max() <= 1e-14
             assert np.abs(lv[no_loss]).max() <= 1e-15
+
+    @pytest.mark.parametrize("g", [0.0, 1e-8, 0.3, 1.0 - 1e-8, 1.0])
+    def test_columns_are_the_generator_of_the_units_bit_for_bit(self, g):
+        """Signed zeros included: the float views must agree in every bit."""
+        units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+        for gamma0 in (1e-300, 1e-3, 1.0, 1e3, 1e300, 4e307):
+            params = ModelParams(gamma0, g)
+            lv = liouvillian(params)
+            for k, unit in enumerate(units):
+                column = np.ascontiguousarray(lv[:, k]).view(float)
+                rhs = lindblad_rhs(unit, params).reshape(16).view(float)
+                assert column.tobytes() == rhs.tobytes(), (gamma0, k)
+
+    @pytest.mark.parametrize("gamma0", [1e-300, 1.0, 1e300])
+    def test_matrix_applies_the_generator_to_a_stack(self, gamma0):
+        stack = np.array(random_states(29, 40) + [random_pure_state(np.random.default_rng(30))])
+        for g in (0.0, 0.3, 1.0):
+            params = ModelParams(gamma0, g)
+            via_matrix = (stack.reshape(-1, 16) @ liouvillian(params).T).reshape(-1, 4, 4)
+            err = np.abs(via_matrix - lindblad_rhs(stack, params)).max()
+            assert err <= 8 * np.finfo(float).eps * gamma0
+
+    def test_returned_matrix_is_the_callers(self):
+        params = ModelParams(1.3, 0.6)
+        first = liouvillian(params)
+        expected = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(liouvillian(params), expected)
+
+    def test_channel_matrices_are_read_only(self):
+        for channel in (model._L_OWN, model._L_CROSS):
+            assert not channel.flags.writeable
+            with pytest.raises(ValueError):
+                channel[0, 0] = 1.0
 
 
 class TestIntegrate:
@@ -383,6 +417,43 @@ class TestOracleAccuracy:
                 rk4 = evolve_series(rho, params, grid, step=1e-3 / gamma0)
                 assert np.abs(rk4 - propagator.evolve(rho, params, grid)).max() <= 1e-12
                 assert np.abs(rk4 - unit).max() <= 1e-14
+
+
+_FAMILY_STARTS = [
+    werner(0.7), mes(0.3, 0.4, 1.9), bell("psi_minus"), bell("phi_plus"),
+    product_state(qmat.EXCITED, qmat.GROUND), product_state(qmat.EXCITED, qmat.EXCITED),
+]
+
+
+class TestOracleAccuracyDrawn:
+    """TestOracleAccuracy's bound over drawn starts, g, log-uniform gamma0 (and
+    4e307, near the largest gamma0 allowed) and grids: ``samples`` times on
+    [0, 5/gamma0] at the default scaled step."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "pure", "family"]),
+        seed=st.integers(0, 2**31 - 1),
+        g=st.floats(0.0, 1.0),
+        gamma0=st.floats(-300.0, 300.0).map(lambda x: 10.0**x),
+        samples=st.integers(51, 2001),
+    )
+    @example(kind="random", seed=1, g=0.0, gamma0=1.0, samples=501)
+    @example(kind="pure", seed=2, g=1e-8, gamma0=1e-300, samples=2001)
+    @example(kind="random", seed=3, g=1.0 - 1e-8, gamma0=1e300, samples=51)
+    @example(kind="family", seed=4, g=1.0, gamma0=4e307, samples=1000)
+    def test_matches_closed_form(self, kind, seed, g, gamma0, samples):
+        gen = np.random.default_rng(seed)
+        if kind == "random":
+            rho = qmat.random_density_matrix(gen)
+        elif kind == "pure":
+            rho = random_pure_state(gen)
+        else:
+            rho = _FAMILY_STARTS[seed % len(_FAMILY_STARTS)]
+        params = ModelParams(gamma0, g)
+        grid = np.linspace(0.0, 5.0 / gamma0, samples)
+        rk4 = evolve_series(rho, params, grid, step=1e-3 / gamma0)
+        assert np.abs(rk4 - propagator.evolve(rho, params, grid)).max() <= 1e-12
 
 
 class TestSemigroupProperties:

@@ -128,10 +128,13 @@ class TestEvolve:
         assert str(info.value) == "t must be nonnegative and finite, got nan"
 
 
-def _imports(module: str) -> set:
-    """(from, name) pairs of the imports in twoatom/<module>.py; ``from`` is None
+_PACKAGE = Path(twoatom.__file__).parent
+
+
+def _imports(path: Path) -> set:
+    """(from, name) pairs of the imports in a Python file; ``from`` is None
     for ``from . import name`` and ``name`` None for a plain ``import``."""
-    tree = ast.parse(Path(twoatom.__file__).with_name(f"{module}.py").read_text())
+    tree = ast.parse(path.read_text())
     pairs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -144,12 +147,23 @@ def _imports(module: str) -> set:
 def test_rk4_oracle_shares_no_code_with_propagator():
     """The oracle imports nothing from the propagator, and the propagator takes
     from the oracle's module only the parameter type and its error."""
-    assert not any("propagator" in f"{src}.{name}" for src, name in _imports("model"))
-    propagator = _imports("propagator")
+    assert not any("propagator" in f"{src}.{name}" for src, name in _imports(_PACKAGE / "model.py"))
+    propagator = _imports(_PACKAGE / "propagator.py")
     assert {name for src, name in propagator if src and src.endswith("model")} == {
         "ModelParams", "ParameterError",
     }
     assert not any(name == "model" for _, name in propagator)
+
+
+def test_no_file_imports_an_undeclared_dependency():
+    """scipy, mpmath and sympy are no declared dependency (pyproject.toml), though
+    an environment may have them: the package, its tests and its scripts import none."""
+    root = Path(__file__).resolve().parents[1]
+    files = [f for d in (_PACKAGE, root / "tests", root / "scripts") for f in d.rglob("*.py")]
+    assert len(files) >= 20
+    for f in files:
+        top = {(src or name or "").split(".")[0] for src, name in _imports(f)}
+        assert not top & {"scipy", "mpmath", "sympy"}, f
 
 
 class TestStackedTimes:
