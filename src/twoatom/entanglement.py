@@ -11,6 +11,9 @@ import numpy as np
 
 from . import qmat
 
+__all__ = ["asymptotic_concurrence", "concurrence", "entropy_of_entanglement", "is_ppt_separable"]
+
+
 class NotPureError(ValueError):
     """Entropy of entanglement is defined for pure states only."""
 

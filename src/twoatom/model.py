@@ -22,6 +22,11 @@ import numpy as np
 
 from . import qmat
 
+__all__ = [
+    "ModelParams", "ParameterError", "StepTooLargeError", "evolve_series", "lindblad_rhs",
+    "liouvillian",
+]
+
 SIGMA_MINUS_A = np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY_2)
 SIGMA_PLUS_A = np.kron(qmat.SIGMA_PLUS, qmat.IDENTITY_2)
 SIGMA_MINUS_B = np.kron(qmat.IDENTITY_2, qmat.SIGMA_MINUS)
@@ -159,11 +164,6 @@ def _check_positivity(traj: np.ndarray, t_grid: np.ndarray) -> None:
         )
 
 
-def integrate(rho0: np.ndarray, params: ModelParams, t: float, step: float = 1e-3) -> np.ndarray:
-    """Propagate rho0 to time t >= 0 with fixed-step RK4.  t = 0 returns rho0 as is."""
-    return evolve_series(rho0, params, [t], step)[0]
-
-
 def _run_plan(t_grid: np.ndarray, step: float):
     """The RK4 schedule of a checked grid: ``(bounds, whole, rem)``.
 
@@ -205,21 +205,23 @@ def _run_plan(t_grid: np.ndarray, step: float):
 
 
 def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1e-3) -> np.ndarray:
-    """States at every grid time from a single integrator pass, shape (T, 4, 4).
+    """States at every grid time from a single integrator pass.
 
-    The grid must be finite, nonnegative and strictly ascending, and ``step``
-    finite with ``params.gamma0 * step`` at least :data:`MIN_SCALED_STEP`;
-    :class:`ParameterError` names the first offending time or the step.  Each
-    interval between samples (the first from t = 0) takes whole steps of
-    ``step`` plus one shorter remainder step, so a step above the sample
-    spacing acts as the spacing.  A run of equal gaps (:func:`_run_plan`) takes
-    their mean, which equals every one of them within a few ulps of t; a
-    ``linspace`` grid is at most two runs, its first sample and the rest.  Each
-    run takes the advance matrix of its (whole steps, remainder) pair, built
-    once per distinct pair in the call, and is filled by doubling: its first k
-    states times the k-th power of that matrix give the next k.  One advance
-    matrix per run compounds its rounding coherently, as on any grid of one
-    gap (deviations measured: CHANGES.md, "The RK4 trajectory by runs").
+    A 1-D grid of T times gives shape (T, 4, 4), a scalar time one 4x4 state,
+    and a time of 0 rho0 as is.  The grid must be finite, nonnegative and
+    strictly ascending, and ``step`` finite with ``params.gamma0 * step`` at
+    least :data:`MIN_SCALED_STEP`; :class:`ParameterError` names the first
+    offending time or the step.  Each interval between samples (the first from
+    t = 0) takes whole steps of ``step`` plus one shorter remainder step, so a
+    step above the sample spacing acts as the spacing.  A run of equal gaps
+    (:func:`_run_plan`) takes their mean, which equals every one of them within
+    a few ulps of t; a ``linspace`` grid is at most two runs, its first sample
+    and the rest.  Each run takes the advance matrix of its (whole steps,
+    remainder) pair, built once per distinct pair in the call, and is filled by
+    doubling: its first k states times the k-th power of that matrix give the
+    next k.  One advance matrix per run compounds its rounding coherently, as
+    on any grid of one gap (deviations measured: CHANGES.md, "The RK4
+    trajectory by runs").
     """
     floor = MIN_SCALED_STEP / params.gamma0
     if not floor <= step < np.inf:
@@ -227,7 +229,8 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
             f"step must be finite and at least {MIN_SCALED_STEP}/gamma0 = {floor:g} "
             f"(below it rounding swamps RK4), got {step}"
         )
-    t_grid = np.asarray(t_grid, dtype=float)
+    times = np.asarray(t_grid, dtype=float)
+    t_grid = np.atleast_1d(times)
     bad = np.flatnonzero(~((t_grid >= 0) & (t_grid < np.inf)))
     if bad.size:
         raise ParameterError(f"grid times must be nonnegative and finite, got t={t_grid[bad[0]]}")
@@ -265,4 +268,4 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
                     power = power @ power
         traj = traj[1:].reshape(-1, 4, 4)
         _check_positivity(traj, t_grid)
-    return traj
+    return traj.reshape(times.shape + (4, 4))

@@ -31,6 +31,11 @@ import numpy as np
 
 from .model import ModelParams, ParameterError
 
+__all__ = [
+    "AsymptoticParams", "DegenerateRatesError", "asymptotic_params", "asymptotic_state",
+    "c_max", "evolve", "t_gamma",
+]
+
 _HALF_SQRT2 = np.sqrt(0.5)
 #: product-basis projectors onto the Dicke levels |11>, |s>, |a>, |00> (exact)
 _LEVEL_PROJECTORS = np.array([

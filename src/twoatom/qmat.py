@@ -19,6 +19,11 @@ import reprlib
 
 import numpy as np
 
+__all__ = [
+    "InvalidStateError", "NotHermitianError", "NotPSDError", "hermitian_eigenvalues",
+    "partial_trace", "partial_transpose_a", "validate_state",
+]
+
 # Structural tolerance (hermiticity / trace / positivity of states): the slack of
 # the Hermitian and PSD checks, of the PPT test and of the RK4 positivity guard,
 # and the default of validate_state(atol).

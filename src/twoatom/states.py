@@ -10,6 +10,11 @@ import numpy as np
 
 from . import qmat
 
+__all__ = [
+    "bell", "bell_diagonal", "bell_vector", "mems", "mems_h", "mes", "product_state",
+    "purity", "werner",
+]
+
 _BELL_KETS = {  # in the basis |11>, |10>, |01>, |00>
     "phi_plus": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
     "phi_minus": np.array([-1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twoatom import qmat
+from twoatom.states import bell, mes, product_state, werner
 
 
 #: Pauli matrix sigma_2, and sigma_2 x sigma_2, the spin-flip sandwich of
@@ -43,3 +44,10 @@ def random_single_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+#: the starts of the accuracy pins of RK4 and of the closed form
+ORACLE_STARTS = [
+    random_states(211, 1)[0], random_pure_state(np.random.default_rng(212)), werner(0.7),
+    mes(0.3, 0.4, 1.9), product_state(qmat.EXCITED, qmat.GROUND), bell("psi_minus"),
+]

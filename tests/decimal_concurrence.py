@@ -9,6 +9,13 @@ Q diag(sqrt(d)) Q^T is E(sqrt(rho)) with no complex eigenvector to pick out
 (a repeated or tiny eigenvalue is harmless).  A second Jacobi gives the
 spectrum of E(R), R = sqrt(rho) rho~ sqrt(rho), whose eigenvalues are the
 squared lambdas (Wootters, PRL 80, 2245 (1998)).
+
+A slightly indefinite input is not made PSD first.  Its negative eigenvalues
+are clamped to 0 in sqrt(rho), but rho~ is built from rho as given, so it
+keeps them.  The float path builds both from one factor rho = X X^H, which
+drops them, so for such an input the two compute different quantities: on
+state 1385 of the RK4 trajectory of bell("psi_plus") at g = 0.99 (2,001
+samples on [0, 5], smallest eigenvalue -5.5e-15) they differ by 5.8e-15.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import numpy as np
 
 from twoatom import qmat
 from twoatom.entanglement import concurrence, is_ppt_separable
-from twoatom.model import ModelParams, evolve_series, integrate
+from twoatom.model import ModelParams, evolve_series
 from twoatom.propagator import (
     asymptotic_params,
     asymptotic_state,
@@ -233,10 +233,10 @@ def test_criterion_8_property_suite():
 
     # the antisymmetric Bell state: frozen at g = 1, decays at gamma0 - gamma below
     singlet = bell("psi_minus")
-    bell_ok = np.abs(integrate(singlet, P_G1, 2.0) - singlet).max() < 1e-9
+    bell_ok = np.abs(evolve_series(singlet, P_G1, 2.0) - singlet).max() < 1e-9
     params = ModelParams(1.0, 0.8)
     for t in (0.5, 1.5, 3.0):
-        c = concurrence(integrate(singlet, params, t))
+        c = concurrence(evolve_series(singlet, params, t))
         bell_ok &= abs(c - np.exp(-(1.0 - 0.8) * t)) < 1e-8
     details.append(f"subradiant decay {bell_ok}")
 

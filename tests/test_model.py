@@ -11,13 +11,12 @@ from twoatom.model import (
     _check_positivity,
     _run_plan,
     evolve_series,
-    integrate,
     lindblad_rhs,
     liouvillian,
 )
 from twoatom.states import bell, bell_vector, mes, product_state, werner
 
-from conftest import random_pure_state, random_states
+from conftest import ORACLE_STARTS, random_pure_state, random_states
 
 P_G1 = ModelParams(gamma0=1.0, g=1.0)
 
@@ -129,38 +128,48 @@ class TestLiouvillian:
 
 
 class TestIntegrate:
+    """RK4 to one time (a scalar t), and the step guard."""
+
     def test_zero_time_identity(self, rng):
         rho = qmat.random_density_matrix(rng)
-        out = integrate(rho, P_G1, 0.0)
+        out = evolve_series(rho, P_G1, 0.0)
         assert np.array_equal(out, rho)
+
+    def test_scalar_time_is_the_one_point_grid(self, rng):
+        rho = qmat.random_density_matrix(rng)
+        params = ModelParams(1.0, 0.6)
+        for t in (0.0, 1e-4, 1.3, 7.0):
+            out = evolve_series(rho, params, t)
+            assert out.shape == (4, 4)
+            assert np.array_equal(out, evolve_series(rho, params, [t])[0])
 
     def test_doubly_excited_population(self):
         rho = product_state(qmat.EXCITED, qmat.EXCITED)
-        out = integrate(rho, P_G1, 1.0)
+        out = evolve_series(rho, P_G1, 1.0)
         assert out[0, 0].real == pytest.approx(np.exp(-2.0), abs=1e-10)
 
     def test_antisymmetric_bell_stable(self):
         rho = bell("psi_minus")
         for t in (0.5, 3.0):
-            assert np.abs(integrate(rho, P_G1, t) - rho).max() < 1e-9
+            assert np.abs(evolve_series(rho, P_G1, t) - rho).max() < 1e-9
 
     def test_rejects_negative_time(self, rng):
         with pytest.raises(ValueError):
-            integrate(qmat.random_density_matrix(rng), P_G1, -1.0)
+            evolve_series(qmat.random_density_matrix(rng), P_G1, -1.0)
 
     def test_output_is_valid_state(self):
         for rho in random_states(59, 5):
-            qmat.validate_state(integrate(rho, P_G1, 1.3), atol=1e-7)
+            qmat.validate_state(evolve_series(rho, P_G1, 1.3), atol=1e-7)
 
     def test_unstable_step_raises(self, rng):
         rho = qmat.random_density_matrix(rng)
         with pytest.raises(StepTooLargeError):
-            integrate(rho, P_G1, 50.0, step=5.0)
+            evolve_series(rho, P_G1, 50.0, step=5.0)
 
     def test_overflowing_step_raises(self):
         # a step of 1e80 overflows the step polynomial to inf and nan entries
         with pytest.raises(StepTooLargeError, match="minimum eigenvalue nan"):
-            integrate(qmat.IDENTITY_4 / 4, P_G1, 1e80, step=1e80)
+            evolve_series(qmat.IDENTITY_4 / 4, P_G1, 1e80, step=1e80)
 
     def test_guard_matches_measure_tolerance(self):
         """A state the entanglement measures would refuse (minimum eigenvalue
@@ -270,7 +279,7 @@ class TestEvolveSeries:
         for rho in random_states(61, 5):
             series = evolve_series(rho, ModelParams(1.0, 0.6), grid)
             for t, r in zip(grid, series):
-                single = integrate(rho, ModelParams(1.0, 0.6), t)
+                single = evolve_series(rho, ModelParams(1.0, 0.6), t)
                 assert np.abs(r - single).max() < 1e-10
 
     def test_rejects_bad_step(self):
@@ -303,7 +312,7 @@ class TestEvolveSeries:
             evolve_series(rho, P_G1, grid)
         if len(grid) == 1:
             with pytest.raises(ParameterError, match=message):
-                integrate(rho, P_G1, grid[0])
+                evolve_series(rho, P_G1, grid[0])
 
 
 def _stretches(draw):
@@ -394,29 +403,27 @@ class TestRunPlan:
         assert len(builds) == pairs
 
 
-_ORACLE_STARTS = [
-    random_states(211, 1)[0], random_pure_state(np.random.default_rng(212)), werner(0.7),
-    mes(0.3, 0.4, 1.9), product_state(qmat.EXCITED, qmat.GROUND), bell("psi_minus"),
-]
-
-
 class TestOracleAccuracy:
     """RK4 at the default step is as close to the closed form as rounding lets
     it be, and depends on gamma0 t and gamma0 dt only: 501 samples on
     [0, 5/gamma0] with dt = 1e-3/gamma0.  Measured worst cases: 6.2e-14
     against propagator.evolve and 1.6e-15 against gamma0 = 1; a third-order
-    step polynomial reaches 1.0e-10."""
+    step polynomial reaches 1.0e-10.  gamma0 = 4e307, near the largest
+    allowed, is checked against the closed form only: its step (2.5e-311) and
+    sample spacing (2.5e-310) are subnormal, with fewer significant bits, and
+    RK4 there is 1.1e-13 from the closed form but 1.25e-13 from gamma0 = 1."""
 
     @pytest.mark.parametrize("g", [0.0, 1e-8, 0.3, 1.0 - 1e-8, 1.0])
     def test_matches_closed_form_at_every_rate_scale(self, g):
-        for rho in _ORACLE_STARTS:
+        for rho in ORACLE_STARTS:
             unit = evolve_series(rho, ModelParams(1.0, g), np.linspace(0.0, 5.0, 501))
-            for gamma0 in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+            for gamma0 in (1e-300, 1e-3, 1.0, 1e3, 1e300, 4e307):
                 params = ModelParams(gamma0, g)
                 grid = np.linspace(0.0, 5.0 / gamma0, 501)
                 rk4 = evolve_series(rho, params, grid, step=1e-3 / gamma0)
                 assert np.abs(rk4 - propagator.evolve(rho, params, grid)).max() <= 1e-12
-                assert np.abs(rk4 - unit).max() <= 1e-14
+                if gamma0 < 4e307:
+                    assert np.abs(rk4 - unit).max() <= 1e-14
 
 
 _FAMILY_STARTS = [
@@ -460,8 +467,8 @@ class TestSemigroupProperties:
     def test_composition(self):
         params = ModelParams(1.0, 0.8)
         for rho in random_states(67, 10):
-            two_leg = integrate(integrate(rho, params, 0.7), params, 1.1)
-            one_leg = integrate(rho, params, 1.8)
+            two_leg = evolve_series(evolve_series(rho, params, 0.7), params, 1.1)
+            one_leg = evolve_series(rho, params, 1.8)
             assert np.abs(two_leg - one_leg).max() < 1e-7
 
     def test_linearity(self):
@@ -471,8 +478,8 @@ class TestSemigroupProperties:
         for rho1, rho2 in zip(states[:5], states[5:]):
             lam = gen.uniform(0, 1)
             mixed = lam * rho1 + (1 - lam) * rho2
-            lhs = integrate(mixed, params, 1.0)
-            rhs = lam * integrate(rho1, params, 1.0) + (1 - lam) * integrate(
+            lhs = evolve_series(mixed, params, 1.0)
+            rhs = lam * evolve_series(rho1, params, 1.0) + (1 - lam) * evolve_series(
                 rho2, params, 1.0
             )
             assert np.abs(lhs - rhs).max() < 1e-8

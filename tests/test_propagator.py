@@ -1,5 +1,6 @@
 import ast
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import twoatom
 from twoatom import qmat
 from twoatom.entanglement import concurrence
-from twoatom.model import ModelParams, ParameterError, evolve_series, integrate, lindblad_rhs
+from twoatom.model import ModelParams, ParameterError, evolve_series, lindblad_rhs
 from twoatom.propagator import (
     DegenerateRatesError,
     asymptotic_params,
@@ -19,7 +20,8 @@ from twoatom.propagator import (
 )
 from twoatom.states import bell, bell_diagonal, product_state, werner
 
-from conftest import random_states
+import decimal_propagator
+from conftest import ORACLE_STARTS, random_states
 
 P_G1 = ModelParams(1.0, 1.0)
 EXCITED_GROUND = product_state(qmat.EXCITED, qmat.GROUND)
@@ -126,6 +128,34 @@ class TestEvolve:
         with pytest.raises(ParameterError) as info:
             evolve(EXCITED_GROUND, P_G1, times)
         assert str(info.value) == "t must be nonnegative and finite, got nan"
+
+
+def _deviation(states, exact) -> float:
+    """Largest entry modulus of ``states`` minus the Decimal-pair ``exact``."""
+    return max(
+        abs(complex(float(Decimal(z.real) - re), float(Decimal(z.imag) - im)))
+        for m, ref in zip(states, exact)
+        for row, ref_row in zip(m.tolist(), ref)
+        for z, (re, im) in zip(row, ref_row)
+    )
+
+
+class TestDecimalReference:
+    """evolve against the 50-digit rate law of tests/decimal_propagator.py,
+    from the same double gamma = fl(g gamma0), on every entry: eight starts,
+    g at both ends and 1e-12 from them, gamma0 over 600 decades and gamma0 t
+    from 1e-6 to 1e6.  Measured worst: 4.6e-16, on the excited x ground start
+    at g = 0, gamma0 t = 1e-6."""
+
+    @pytest.mark.parametrize("g", [0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0])
+    def test_within_four_eps(self, g):
+        starts = ORACLE_STARTS + [bell("phi_plus"), product_state(qmat.EXCITED, qmat.EXCITED)]
+        for rho in starts:
+            for gamma0 in (1.0, 1e-300, 1e300):
+                times = [x / gamma0 for x in (1e-6, 0.5, 5.0, 40.0, 1e6)]
+                exact = decimal_propagator.evolve(rho, gamma0, g, times)
+                got = evolve(rho, ModelParams(gamma0, g), times)
+                assert _deviation(got, exact) <= 4 * np.finfo(float).eps
 
 
 _PACKAGE = Path(twoatom.__file__).parent
@@ -260,7 +290,7 @@ class TestExcitedGroundGeneral:
     def test_matches_rk4_oracle(self, g):
         params = ModelParams(1.0, g)
         for t in (0.5, 2.0):
-            numeric = integrate(EXCITED_GROUND, params, t)
+            numeric = evolve_series(EXCITED_GROUND, params, t)
             closed = evolve(EXCITED_GROUND, params, t)
             assert np.abs(closed - numeric).max() < 1e-6
 
@@ -285,7 +315,7 @@ class TestBellGeneral:
         params = ModelParams(1.0, 0.99)
         rho0 = bell("psi_plus" if sign > 0 else "psi_minus")
         for t in (1.0, 5.0):
-            numeric = integrate(rho0, params, t)
+            numeric = evolve_series(rho0, params, t)
             closed = evolve(rho0, params, t)
             assert np.abs(closed - numeric).max() < 1e-6
 

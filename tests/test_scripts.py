@@ -1,4 +1,4 @@
-"""The scripts under scripts/, run in process against the library and CLI they wrap."""
+"""The scripts under scripts/, run in process against the library they wrap."""
 
 import csv
 import importlib.util
@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoatom.cli import EXIT_OK, main
 from twoatom.propagator import c_max, t_gamma
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -19,14 +18,6 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_make_figures_writes_the_figure_command_bytes(tmp_path, capsys):
-    _load("make_figures").run(tmp_path, samples=7, t_max=2.5)
-    capsys.readouterr()
-    for which in ("fig1", "fig2", "fig3"):
-        assert main(["figure", which, "--samples", "7", "--t-max", "2.5"]) == EXIT_OK
-        assert (tmp_path / f"{which}.csv").read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("gamma0,points", [(1.0, 99), (2.5, 7), (1e-3, 13)])
