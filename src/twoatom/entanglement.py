@@ -82,22 +82,23 @@ def asymptotic_concurrence(rho0: np.ndarray):
 
 
 def is_ppt_separable(rho: np.ndarray) -> bool:
-    """Exact 2x2 separability: no partial-transpose eigenvalue below -qmat.TOL_STRUCTURAL."""
-    return bool(qmat.state_health(qmat.partial_transpose_a(rho))[2][0] >= -qmat.TOL_STRUCTURAL)
+    """Exact 2x2 separability: no partial-transpose eigenvalue below -qmat.TOL_STRUCTURAL,
+    for a rho that passes the checks of :func:`concurrence` (else their error)."""
+    pt = qmat.partial_transpose_a(qmat._psd_check(rho))
+    return bool(np.linalg.eigvalsh(pt)[0] >= -qmat.TOL_STRUCTURAL)
 
 
 def entropy_of_entanglement(rho: np.ndarray) -> float:
     """Base-2 von Neumann entropy of the reduced state of a pure rho.
 
-    Raises ``NotPureError`` unless tr(rho^2) >= 1 - 1e-9; the mixed-state
-    extension (minimization over decompositions) is out of scope, use
-    :func:`concurrence` instead.
+    Checks rho as :func:`concurrence` does, then raises ``NotPureError`` unless
+    tr(rho^2) >= 1 - qmat.TOL_STRUCTURAL; the mixed-state extension (minimization
+    over decompositions) is out of scope, use :func:`concurrence` instead.
     """
-    rho = np.asarray(rho, dtype=complex)
-    pur = float(np.trace(rho @ rho).real)
-    if pur < 1.0 - 1e-9:
+    h = qmat._psd_check(rho)
+    pur = float(np.trace(h @ h).real)
+    if pur < 1.0 - qmat.TOL_STRUCTURAL:
         raise NotPureError(f"tr(rho^2) = {pur:.12f} below purity threshold")
-    reduced = qmat.partial_trace(rho, "A")
-    p = np.clip(qmat.hermitian_eigenvalues(reduced), 0.0, 1.0)
+    p = np.clip(np.linalg.eigvalsh(qmat.partial_trace(h, "A")), 0.0, 1.0)
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())

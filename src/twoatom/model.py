@@ -207,9 +207,9 @@ def _run_plan(t_grid: np.ndarray, step: float):
 def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1e-3) -> np.ndarray:
     """States at every grid time from a single integrator pass.
 
-    A 1-D grid of T times gives shape (T, 4, 4), a scalar time one 4x4 state,
-    and a time of 0 rho0 as is.  The grid must be finite, nonnegative and
-    strictly ascending, and ``step`` finite with ``params.gamma0 * step`` at
+    Times of shape S give shape S + (4, 4), so a scalar time one 4x4 state, and
+    a time of 0 rho0 as is.  The grid must be finite, nonnegative and strictly
+    ascending in C order, and ``step`` finite with ``params.gamma0 * step`` at
     least :data:`MIN_SCALED_STEP`; :class:`ParameterError` names the first
     offending time or the step.  Each interval between samples (the first from
     t = 0) takes whole steps of ``step`` plus one shorter remainder step, so a
@@ -230,7 +230,7 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
             f"(below it rounding swamps RK4), got {step}"
         )
     times = np.asarray(t_grid, dtype=float)
-    t_grid = np.atleast_1d(times)
+    t_grid = times.reshape(-1)
     bad = np.flatnonzero(~((t_grid >= 0) & (t_grid < np.inf)))
     if bad.size:
         raise ParameterError(f"grid times must be nonnegative and finite, got t={t_grid[bad[0]]}")

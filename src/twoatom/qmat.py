@@ -20,13 +20,13 @@ import reprlib
 import numpy as np
 
 __all__ = [
-    "InvalidStateError", "NotHermitianError", "NotPSDError", "hermitian_eigenvalues",
-    "partial_trace", "partial_transpose_a", "validate_state",
+    "InvalidStateError", "NotHermitianError", "NotPSDError", "partial_trace",
+    "partial_transpose_a", "validate_state",
 ]
 
-# Structural tolerance (hermiticity / trace / positivity of states): the slack of
-# the Hermitian and PSD checks, of the PPT test and of the RK4 positivity guard,
-# and the default of validate_state(atol).
+# Structural tolerance (hermiticity / trace / positivity of states): the one slack
+# of the Hermitian and PSD checks, of validate_state, of the PPT test, of the
+# purity test and of the RK4 positivity guard.
 TOL_STRUCTURAL = 1e-9
 
 #: single-atom basis kets, |1> excited, |0> ground
@@ -94,18 +94,6 @@ def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     return r.transpose(2, 1, 0, 3).reshape(4, 4)
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, or of each in a stack, sorted descending.
-
-    Raises ``NotHermitianError`` if some matrix is not Hermitian within TOL_STRUCTURAL.
-    """
-    defect, _, spectrum = state_health(m)
-    defect = defect.max(initial=0.0)
-    if not defect <= TOL_STRUCTURAL:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
-    return spectrum[..., ::-1]
 
 
 def _x_blocks_pd(e: np.ndarray) -> np.ndarray:
@@ -250,8 +238,8 @@ def state_health(m: np.ndarray) -> tuple:
         return 2.0 * abs(half - h).max((-2, -1)), abs(m.trace(0, -2, -1) - 1.0), spectrum
 
 
-def validate_state(m: np.ndarray, atol: float = TOL_STRUCTURAL) -> np.ndarray:
-    """Check the three density-matrix invariants and return the matrix.
+def validate_state(m: np.ndarray) -> np.ndarray:
+    """Check the three density-matrix invariants at TOL_STRUCTURAL and return the matrix.
 
     Raises ``InvalidStateError`` naming every violated invariant (hermiticity,
     unit trace, positivity) with its magnitude, the non-finite entries or the shape.
@@ -262,7 +250,7 @@ def validate_state(m: np.ndarray, atol: float = TOL_STRUCTURAL) -> np.ndarray:
         raise InvalidStateError({"shape": float(m.size)}, detail)
     defect, trace_defect, spectrum = state_health(m)
     measured = {"hermiticity": defect, "trace": trace_defect, "positivity": -spectrum[0]}
-    violations = {k: float(v) for k, v in measured.items() if not v <= atol}
+    violations = {k: float(v) for k, v in measured.items() if not v <= TOL_STRUCTURAL}
     if violations:
         if np.isnan(defect):
             bad = ", ".join(f"rho{i // 4 + 1}{i % 4 + 1}" for i in np.flatnonzero(~np.isfinite(m)))

@@ -21,6 +21,14 @@ def rng():
     return np.random.default_rng(20240917)
 
 
+def state_defect(m) -> float:
+    """The largest of the hermiticity defect, the trace defect and minus the least
+    eigenvalue over a state or a stack (qmat.state_health; NaN for a non-finite entry),
+    so ``state_defect(m) <= atol`` checks validate_state's invariants at slack atol."""
+    defect, trace, spectrum = qmat.state_health(m)
+    return float(np.max([defect, trace, -spectrum[..., 0]]))
+
+
 def random_states(seed: int, n: int):
     """Seeded full-rank Gaussian-ensemble states, reproducible across tests."""
     gen = np.random.default_rng(seed)

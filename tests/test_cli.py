@@ -503,6 +503,9 @@ class TestExitCodes:
              EXIT_UNSUPPORTED),
             (["evolve", "--state", "STATE", "--g", "0.5", "--samples", "3", "--dt", "1e-18"],
              EXIT_UNSUPPORTED),
+            # a sample spacing of 5e9 over a step of 1e-309 overflows the step count
+            (["evolve", "--state", "STATE", "--gamma0", "1e300", "--dt", "1e-309", "--t-max",
+              "1e10", "--samples", "2"], EXIT_UNSUPPORTED),
             # none of these grids fits the address space, so no memory is taken
             (["evolve", "--state", "STATE", "--samples", str(10**15)], EXIT_UNSUPPORTED),
             (["figure", "fig2", "--samples", str(2**62)], EXIT_UNSUPPORTED),
@@ -512,8 +515,8 @@ class TestExitCodes:
             (["peak", "--g", "0.5", "--bogus"], EXIT_UNSUPPORTED),
         ],
         ids=["t-max-inf", "step-too-large", "asymptotic-g-7", "figure-negative-gamma0", "dt-inf",
-             "t-max-below-spacing", "dt-1e-16", "dt-1e-18", "samples-1e15", "samples-2e62",
-             "samples-1e20", "no-command", "unknown-flag"],
+             "t-max-below-spacing", "dt-1e-16", "dt-1e-18", "spacing-over-step-overflows",
+             "samples-1e15", "samples-2e62", "samples-1e20", "no-command", "unknown-flag"],
     )
     def test_bad_parameters_exit_with_one_line(self, eg_state, capsys, argv, code):
         rc = main([eg_state if a == "STATE" else a for a in argv])
@@ -634,11 +637,13 @@ class TestExitCodes:
           "basis params 'a' and 'b' must be 'excited' or 'ground'"),
          ({"family": json.loads("[" * 500 + "]" * 500)}, "unknown state family [[["),
          ({"family": "werner", "params": {"p": 10**400 - 1}},
-          "bad parameters for family 'werner': p must lie in [0, 1], got 999")],
+          "bad parameters for family 'werner': p must lie in [0, 1], got 999"),
+         ({"family": "mems", "params": {"delta": 1.5}},
+          "bad parameters for family 'mems': delta must lie in [0, 1], got 1.5")],
         ids=["mems-delta-matrix", "bell-diagonal-p-overflow", "mems-delta-stack",
              "mems-delta-nested-60", "bell-diagonal-p-column", "bell-diagonal-p-scalar",
              "bell-diagonal-p-five", "basis-a-list", "family-nested-500",
-             "werner-p-400-digits"],
+             "werner-p-400-digits", "mems-delta-out-of-range"],
     )
     def test_bad_family_parameter_is_one_line(self, tmp_path, capsys, params, detail):
         # a numpy array printed across lines, or a warning, would add a line

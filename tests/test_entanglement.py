@@ -178,6 +178,17 @@ class TestPpt:
         assert not is_ppt_separable(werner(0.5))
         assert is_ppt_separable(werner(0.3))
 
+    @pytest.mark.parametrize(
+        "m,error",
+        [(np.full((4, 4), np.nan), NotHermitianError),
+         (np.eye(4) / 4 + np.diag([0.3, 0.0, 0.0], k=1), NotHermitianError),
+         (np.diag([1.5, 0.0, 0.0, -0.5]), NotPSDError)],
+        ids=["nan", "non-hermitian", "indefinite"],
+    )
+    def test_checks_its_input_as_concurrence_does(self, m, error):
+        with pytest.raises(error):
+            is_ppt_separable(m)
+
 
 class TestEntropyOfEntanglement:
     def test_product_zero(self, rng):
@@ -198,6 +209,11 @@ class TestEntropyOfEntanglement:
     def test_rejects_mixed(self):
         with pytest.raises(NotPureError):
             entropy_of_entanglement(werner(0.5))
+
+    def test_checks_its_input_as_concurrence_does(self):
+        # the purity test alone passes it, and its reduced state is diag(1.5, -0.5)
+        with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -5.000e-01 below"):
+            entropy_of_entanglement(np.diag([1.5, 0.0, 0.0, -0.5]))
 
 
 class TestAgreementProperties:

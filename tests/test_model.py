@@ -16,7 +16,7 @@ from twoatom.model import (
 )
 from twoatom.states import bell, bell_vector, mes, product_state, werner
 
-from conftest import ORACLE_STARTS, random_pure_state, random_states
+from conftest import ORACLE_STARTS, random_pure_state, random_states, state_defect
 
 P_G1 = ModelParams(gamma0=1.0, g=1.0)
 
@@ -159,7 +159,7 @@ class TestIntegrate:
 
     def test_output_is_valid_state(self):
         for rho in random_states(59, 5):
-            qmat.validate_state(evolve_series(rho, P_G1, 1.3), atol=1e-7)
+            assert state_defect(evolve_series(rho, P_G1, 1.3)) <= 1e-7
 
     def test_unstable_step_raises(self, rng):
         rho = qmat.random_density_matrix(rng)
@@ -282,6 +282,18 @@ class TestEvolveSeries:
                 single = evolve_series(rho, ModelParams(1.0, 0.6), t)
                 assert np.abs(r - single).max() < 1e-10
 
+    def test_times_of_any_shape_give_that_shape_of_states(self, rng):
+        rho = qmat.random_density_matrix(rng)
+        grid = np.linspace(0.1, 1.2, 6)
+        out = evolve_series(rho, P_G1, grid.reshape(2, 3))
+        assert out.shape == (2, 3, 4, 4)
+        assert np.array_equal(out.reshape(6, 4, 4), evolve_series(rho, P_G1, grid))
+
+    def test_spacing_over_step_overflow_names_the_step(self):
+        rho = product_state(qmat.EXCITED, qmat.GROUND)
+        with pytest.raises(ParameterError, match=r"^grid spacing over step 1e-309 overflows$"):
+            evolve_series(rho, ModelParams(1e300, 1.0), [5e9, 1e10], step=1e-309)
+
     def test_rejects_bad_step(self):
         rho = product_state(qmat.EXCITED, qmat.GROUND)
         for step in (0.0, -1e-3, np.inf, np.nan):
@@ -303,8 +315,10 @@ class TestEvolveSeries:
             ([0.5, -1.0], "nonnegative and finite, got t=-1.0"),
             ([0.0, 2.0, 1.0, 0.5], "strictly ascending, got t=1.0 after t=2.0"),
             ([0.0, 1.0, 1.0], "strictly ascending, got t=1.0 after t=1.0"),
+            # times of any shape are read in C order
+            ([[0.0, 2.0], [1.0, 3.0]], "strictly ascending, got t=1.0 after t=2.0"),
         ],
-        ids=["nan", "inf", "negative", "descending", "repeated"],
+        ids=["nan", "inf", "negative", "descending", "repeated", "2-d-column-major"],
     )
     def test_bad_time_names_it(self, grid, message):
         rho = product_state(qmat.EXCITED, qmat.GROUND)

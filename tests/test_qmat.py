@@ -20,14 +20,13 @@ from twoatom.qmat import (
     InvalidStateError,
     NotHermitianError,
     NotPSDError,
-    hermitian_eigenvalues,
     partial_trace,
     partial_transpose_a,
     state_health,
     validate_state,
 )
 
-from conftest import random_states
+from conftest import random_states, state_defect
 
 I2 = qmat.IDENTITY_2
 I4 = qmat.IDENTITY_4
@@ -131,45 +130,6 @@ class TestPartialTranspose:
         assert np.allclose(partial_transpose_a(pt), rho, atol=1e-14)
         assert abs(np.trace(pt) - np.trace(rho)) < 1e-12
         assert np.abs(pt - pt.conj().T).max() < 1e-12
-
-
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        assert np.allclose(hermitian_eigenvalues(I4), np.ones(4), atol=1e-12)
-
-    def test_diagonal_descending(self):
-        m = np.diag([0.7, 0.2, 0.1, 0.0]).astype(complex)
-        assert np.allclose(hermitian_eigenvalues(m), [0.7, 0.2, 0.1, 0.0], atol=1e-12)
-
-    def test_rank_one_projector(self):
-        v = np.zeros(4, dtype=complex)
-        v[1], v[2] = 1.0, -1.0
-        v /= np.sqrt(2)
-        w = hermitian_eigenvalues(np.outer(v, v.conj()))
-        assert np.allclose(w, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        m = I4.copy()
-        m[0, 1] = 1.0
-        with pytest.raises(NotHermitianError):
-            hermitian_eigenvalues(m)
-
-    def test_sum_is_trace_for_states(self):
-        for rho in random_states(23, 20):
-            assert abs(hermitian_eigenvalues(rho).sum() - 1.0) < 1e-9
-
-    def test_nan_is_not_hermitian(self):
-        # an infinite diagonal entry, inf - inf, reads NaN too, with no warning
-        for bad in (np.nan, np.inf):
-            m = I4.copy()
-            m[2, 2] = bad
-            with pytest.raises(NotHermitianError, match=r"^hermiticity defect nan exceeds"):
-                hermitian_eigenvalues(m)
-
-    def test_stack_sorts_each_spectrum(self):
-        stack = np.array([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([5.0, 6.0, 7.0, 8.0])])
-        w = hermitian_eigenvalues(stack.astype(complex))
-        assert np.allclose(w, [[4, 3, 2, 1], [8, 7, 6, 5]], atol=1e-12)
 
 
 class TestPsdEigh:
@@ -459,7 +419,13 @@ class TestValidateState:
 
     def test_random_ensemble_is_valid(self):
         for rho in random_states(5, 20):
-            validate_state(rho, atol=1e-12)
+            validate_state(rho)
+            assert state_defect(rho) <= 1e-12
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(InvalidStateError, match=r"^not a valid density matrix: "
+                           r"shape \(3, 3\), expected \(4, 4\)$"):
+            validate_state(np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_entries_naming_them(self, bad):

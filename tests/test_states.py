@@ -18,7 +18,7 @@ from twoatom.states import (
     werner,
 )
 
-from conftest import random_pure_state, random_qubit_vector
+from conftest import random_pure_state, random_qubit_vector, state_defect
 
 
 def _e(j):
@@ -83,7 +83,7 @@ class TestBell:
 
     @pytest.mark.parametrize("which", BELL_NAMES)
     def test_valid_states(self, which):
-        qmat.validate_state(bell(which), atol=1e-12)
+        assert state_defect(bell(which)) <= 1e-12
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ class TestMes:
     )
     def test_rank_one_for_any_parameters(self, a, th1, th2):
         rho = mes(a, th1, th2)
-        qmat.validate_state(rho, atol=1e-12)
+        assert state_defect(rho) <= 1e-12
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_stationary_params_match_phase_formula(self, rng):
@@ -205,7 +205,7 @@ class TestMems:
     @given(st.floats(0.0, 1.0))
     def test_weight_range_and_validity(self, delta):
         assert 1.0 / 3.0 <= mems_h(delta) <= 0.5
-        qmat.validate_state(mems(delta), atol=1e-12)
+        assert state_defect(mems(delta)) <= 1e-12
 
     def test_zero_corner_case(self):
         rho = mems(0.0)
@@ -253,7 +253,7 @@ def test_every_factory_output_is_a_strict_state(rng):
         mems(0.45),
     ]
     for rho in outputs:
-        qmat.validate_state(rho, atol=1e-12)
+        assert state_defect(rho) <= 1e-12
 
 
 def test_mes_concurrence_always_maximal(rng):
