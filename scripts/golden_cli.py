@@ -8,10 +8,11 @@ from this tree's ``src/`` and then from ``OTHER_TREE/src``, and captures
 stdout, stderr and the exit code of each call.  The list covers ``evolve``
 (rk4 and closed-form, csv and json, with and without ``--with-rho``),
 ``figure fig1-fig3``, ``asymptotic``, ``concurrence`` and ``peak``,
-extreme rates and closed-form calls at g near 0 and 1 included, and calls
-through the two other streams: ``--output FILE``, whose bytes count as the
-call's stdout (a file the call did not create as the line ``[no file]``), and
-``--state -``, written ``... --state - < FILE`` and fed FILE on stdin.  One line
+extreme rates and closed-form calls at g near 0 and 1 included, the
+parser's error and help paths, and calls through the two other
+streams: ``--output FILE``, whose bytes count as the call's stdout (a file
+the call did not create as the line ``[no file]``), and ``--state -``,
+written ``... --state - < FILE`` and fed FILE on stdin.  One line
 per call says whether the two trees gave byte-identical stdout, stderr and
 exit code, and the largest absolute difference between the numbers in
 their output.  Exits 1 if any call differs in any byte, 0 otherwise.
@@ -153,6 +154,17 @@ def golden_argvs(state_dir: Path) -> list[list[str]]:
         argvs.append(["evolve", "--state", "-", "--samples", "21", "--with-rho", "<", path])
         argvs.append(["asymptotic", "--state", "-", "--format", "json", "<", path])
         argvs.append(["concurrence", "--state", "-", "<", path])
+    # the parser's error and help paths: the top parser's lines
+    # (nothing, an unknown or abbreviated command, an option or "--" first) and
+    # each subcommand parser's (a string left over, a bad or missing flag)
+    concurrence = ["concurrence", "--state", "random", "--seed", "1"]
+    argvs += [
+        [], ["-h"], ["bogus"], ["evo", "--state", "random"],
+        ["--seed", "1"] + concurrence[:3], ["--"] + concurrence,
+        concurrence + ["extra"], concurrence + ["--bogus"], concurrence + ["--"],
+        ["concurrence"], ["evolve", "--state", "random", "--method", "euler"],
+        ["evolve", "--state", "random", "--samples", "3.5"], ["evolve", "-h"],
+    ]
     return argvs
 
 

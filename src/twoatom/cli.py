@@ -249,7 +249,13 @@ def _add_output_args(p):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Rejects a command line with ``ParameterError`` (exit 3), not a usage block and exit 2."""
+    """Rejects a command line with ``ParameterError`` (exit 3), not a usage block and exit 2.
+
+    ``build_parser`` sets ``subcommands`` on the top parser: the name of each
+    subcommand mapped to that subcommand's parser.
+    """
+
+    subcommands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         raise ParameterError(f"{self.prog}: {message}")
@@ -267,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dissipative dynamics and entanglement of two two-level atoms",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    top.subcommands = sub.choices
 
     p = sub.add_parser("evolve", help="emit a (t, concurrence[, rho]) time series")
     _add_state_arg(p)
@@ -310,9 +317,29 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _parse(argv) -> argparse.Namespace:
+    top = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = top.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return top.parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None); returns its exit code.
+
+    A command line whose first word names a subcommand is parsed once, by
+    that subcommand's parser, into the namespace ``build_parser().parse_args``
+    gives but for ``command``.  A line that parser leaves strings over from,
+    and one that starts with anything else (nothing, ``-h``, an option, an
+    unknown word, ``--``), goes whole through the top parser as well, so
+    every error and help text is the one ``build_parser().parse_args`` gives.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         write = args.func(args)
         # opened once the command has returned, so a failed run leaves --output untouched
         with _output(getattr(args, "output", None)) as fp:

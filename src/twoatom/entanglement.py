@@ -91,11 +91,16 @@ def is_ppt_separable(rho: np.ndarray) -> bool:
 def entropy_of_entanglement(rho: np.ndarray) -> float:
     """Base-2 von Neumann entropy of the reduced state of a pure rho.
 
-    Checks rho as :func:`concurrence` does, then raises ``NotPureError`` unless
+    Checks rho as :func:`concurrence` does, then raises ``qmat.InvalidStateError``
+    naming the trace unless |tr rho - 1| <= qmat.TOL_STRUCTURAL, as
+    :func:`qmat.validate_state` does, and ``NotPureError`` unless
     tr(rho^2) >= 1 - qmat.TOL_STRUCTURAL; the mixed-state extension (minimization
     over decompositions) is out of scope, use :func:`concurrence` instead.
     """
     h = qmat._psd_check(rho)
+    trace_defect = float(abs(np.trace(np.asarray(rho)) - 1.0))
+    if not trace_defect <= qmat.TOL_STRUCTURAL:
+        raise qmat.InvalidStateError({"trace": trace_defect})
     pur = float(np.trace(h @ h).real)
     if pur < 1.0 - qmat.TOL_STRUCTURAL:
         raise NotPureError(f"tr(rho^2) = {pur:.12f} below purity threshold")

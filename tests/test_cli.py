@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoatom
-from twoatom import propagator, qmat
+from twoatom import cli, propagator, qmat
 from twoatom.cli import (
     EXIT_BAD_STATE,
     EXIT_NUMERICAL,
@@ -707,6 +708,102 @@ class TestExitCodes:
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# command lines that each subcommand's parser takes alone
+_DISPATCH_VALID = [
+    ["evolve", "--state", "random", "--seed", "1", "--gamma0", "2", "--g", "0.3", "--t-max", "4",
+     "--samples", "3", "--dt", "0.1", "--method", "closed-form", "--with-rho", "--format", "json",
+     "--output", "out.json"],
+    ["evolve", "--state", "random", "--sam", "3"],
+    ["asymptotic", "--state", "random", "--g=0.3", "--format", "json"],
+    ["concurrence", "--state", "random", "--seed", "1"],
+    ["figure", "fig2", "--gamma0", "0.7", "--t-max", "3", "--samples", "5", "--output", "-"],
+    ["peak", "--g", "-0.5", "--gamma0", "2", "--format", "csv"],
+]
+# command lines the top parser takes whole, and lines a subcommand's parser
+# rejects; whether a line that starts with "--" parses depends on the Python
+# version's argparse, so only the reference decides each outcome
+_DISPATCH_OTHER = [
+    [],
+    ["bogus"],
+    ["evo", "--state", "random"],
+    ["--seed", "1", "concurrence", "--state", "random"],
+    ["--", "concurrence", "--state", "random"],
+    ["-h"],
+    ["concurrence", "--state", "random", "extra"],
+    ["concurrence", "--state", "random", "--bogus"],
+    ["concurrence", "--state", "random", "--"],
+    ["concurrence"],
+    ["evolve", "--state", "random", "--method", "euler"],
+    ["evolve", "--state", "random", "--samples", "3.5"],
+    ["evolve", "-h"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What ``parse(argv)`` gives: the namespace without ``command``, the text of
+    the ``ParameterError`` or the ``SystemExit`` code, with the output it printed."""
+    try:
+        args = vars(parse(argv))
+        args.pop("command", None)
+        outcome = ("args", args)
+    except ParameterError as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The ``prog`` of each parser that parses a command line, in call order."""
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    return progs
+
+
+class TestDispatch:
+    """``main`` hands a command line to its subcommand's parser, and to the top
+    parser only what that parser cannot take; ``build_parser().parse_args`` is
+    the reference."""
+
+    @pytest.mark.parametrize("argv", _DISPATCH_VALID + _DISPATCH_OTHER,
+                             ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_parse_matches_the_top_parser(self, capsys, parses, argv):
+        ours = _parse_outcome(cli._parse, argv, capsys)
+        dispatched = list(parses)
+        assert ours == _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        if argv in _DISPATCH_VALID:
+            assert ours[0][0] == "args"
+            assert dispatched == [f"twoatom {argv[0]}"]
+
+    def test_valid_line_skips_the_top_parser(self, capsys, parses):
+        assert main(["concurrence", "--state", "random", "--seed", "1"]) == EXIT_OK
+        assert parses == ["twoatom concurrence"]
+        assert float(capsys.readouterr().out) > 0.0
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["concurrence", "--state", "random", "--seed", "1"], EXIT_OK),
+            (["--seed", "1", "concurrence", "--state", "random"], EXIT_UNSUPPORTED),
+            (["concurrence", "--state", "random", "--bogus"], EXIT_UNSUPPORTED),
+        ],
+        ids=["valid", "option-first", "unknown-flag"],
+    )
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, argv, code):
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["twoatom", *argv])
+        assert main() == code
+        assert capsys.readouterr() == expected
+
+
 def _cli_argv_env(*args):
     """Argv and environment that run ``python -m twoatom.cli`` from this source tree."""
     src = str(Path(twoatom.__file__).resolve().parents[1])
@@ -887,10 +984,19 @@ def fresh_probe_output():
     return proc.stdout
 
 
+# a first word that (but for a rare junk draw) names no subcommand, so that the
+# top parser takes the line; never an option the top parser reads as "-h",
+# whose help exits the call
+_LEAD = st.one_of(
+    st.sampled_from(["bogus", "evo", "--", "--bogus", "--seed=1", "-x"]),
+    _JUNK.filter(lambda word: not word.startswith("-")),
+)
+
+
 @st.composite
 def _argv(draw, base):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    argv = [command]
+    argv = [draw(_LEAD), command] if draw(st.integers(0, 3)) == 0 else [command]
     for flag in _COMMANDS[command]:
         required = flag in ("WHICH", "--state") or (command == "peak" and flag == "--g")
         if not (required or draw(st.booleans())):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom import qmat
-from twoatom.qmat import NotHermitianError, NotPSDError
+from twoatom.qmat import InvalidStateError, NotHermitianError, NotPSDError
 from twoatom.entanglement import (
     NotPureError,
     asymptotic_concurrence,
@@ -211,9 +211,17 @@ class TestEntropyOfEntanglement:
             entropy_of_entanglement(werner(0.5))
 
     def test_checks_its_input_as_concurrence_does(self):
-        # the purity test alone passes it, and its reduced state is diag(1.5, -0.5)
-        with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -5.000e-01 below"):
-            entropy_of_entanglement(np.diag([1.5, 0.0, 0.0, -0.5]))
+        # the purity test alone passes the first two: the reduced state of the
+        # first is diag(1.5, -0.5), and 2 * bell read an entropy of 6.4e-16
+        for m, error, message in [
+            (np.diag([1.5, 0.0, 0.0, -0.5]), NotPSDError, r"^minimum eigenvalue -5.000e-01 below"),
+            (2 * bell("phi_plus"), InvalidStateError,
+             r"^not a valid density matrix: trace=1.000e\+00$"),
+            (0.5 * bell("phi_plus"), InvalidStateError,
+             r"^not a valid density matrix: trace=5.000e-01$"),
+        ]:
+            with pytest.raises(error, match=message):
+                entropy_of_entanglement(m)
 
 
 class TestAgreementProperties:
