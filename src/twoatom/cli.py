@@ -79,9 +79,10 @@ def _output(path):
 
 
 def _report(fmt: str, payload, lines) -> Writer:
-    """Writer of ``payload`` as JSON, or for any other ``fmt`` of the lines ``lines()``."""
+    """Writer of ``payload`` as JSON, or for any other ``fmt`` of the lines ``lines()``.
+    A payload is a tree of Python numbers, str, lists and dicts: no cycle, so json checks none."""
     if fmt == "json":
-        return lambda fp: fp.write(json.dumps(payload, indent=1) + "\n")
+        return lambda fp: fp.write(json.dumps(payload, indent=1, check_circular=False) + "\n")
     return lambda fp: fp.write("".join(f"{line}\n" for line in lines()))
 
 
@@ -110,12 +111,13 @@ def cmd_asymptotic(args) -> Writer:
     rho0 = _load_state(args.state, args.seed)
     # the stationary state does not depend on gamma0; asymptotic_state checks g
     rho_as = propagator.asymptotic_state(rho0, args.g)
+    rows = rho_as.tolist()  # Python complex entries, for the JSON pairs and the text rows
     payload = {"g": args.g}
     if args.g == 1.0:
         pars = propagator.asymptotic_params(rho0)
         payload |= {"alpha": pars.alpha, "beta": [pars.beta.real, pars.beta.imag]}
     payload |= {
-        "rho_as": statefile.state_to_entries(rho_as),
+        "rho_as": [[z.real, z.imag] for row in rows for z in row],
         "concurrence": entanglement.asymptotic_concurrence(rho_as),
     }
     if args.g < 1.0:
@@ -127,7 +129,7 @@ def cmd_asymptotic(args) -> Writer:
         else:
             yield payload["note"]
         yield "rho_as ="
-        for row in rho_as:
+        for row in rows:
             yield "  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
         yield f"concurrence = {payload['concurrence']!r}"
     return _report(args.format, payload, lines)

@@ -122,10 +122,14 @@ def evolve(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
 
 def asymptotic_params(rho0: np.ndarray) -> AsymptoticParams:
     """(alpha, beta) of the g = 1 stationary state reached from rho0."""
-    r = np.asarray(rho0, dtype=complex)
-    alpha = 0.25 * (r[1, 1] + r[2, 2] - 2.0 * r[1, 2].real).real
-    beta = 0.5 * (r[1, 3] - r[2, 3])
-    return AsymptoticParams(alpha=float(np.clip(alpha, 0.0, 0.5)), beta=complex(beta))
+    (_, r11, r12, r13), (_, _, r22, r23) = np.asarray(rho0, dtype=complex)[1:3].tolist()
+    alpha = 0.25 * (r11.real + r22.real - 2.0 * r12.real)
+    return AsymptoticParams(alpha=min(max(alpha, 0.0), 0.5), beta=0.5 * (r13 - r23))
+
+
+#: P for each pattern of dark levels, keyed by g == 1: G_a = gamma0 - gamma is 0 at g = 1 only
+_DARK = {g == 1.0: _LEVEL_PROJECTORS[_level_rates(ModelParams(1.0, g)) == 0.0].sum(0)
+         for g in (0.0, 1.0)}
 
 
 def asymptotic_state(rho0: np.ndarray, g: float = 1.0) -> np.ndarray:
@@ -134,7 +138,7 @@ def asymptotic_state(rho0: np.ndarray, g: float = 1.0) -> np.ndarray:
     The dark part P rho0 P, P the projector onto the levels with G = 0
     (|00>, and |a> at g = 1), with |00><00| raised to the trace of rho0.
     """
-    dark = _LEVEL_PROJECTORS[_level_rates(ModelParams(1.0, g)) == 0.0].sum(axis=0)
+    dark = _DARK[ModelParams(1.0, g).gamma == 1.0]
     r = np.asarray(rho0, dtype=complex)
     out = dark @ r @ dark
     out[3, 3] += r.trace() - out.trace()

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoatom
-from twoatom import cli, propagator, qmat
+from twoatom import cli, propagator, qmat, statefile
 from twoatom.cli import (
     EXIT_BAD_STATE,
     EXIT_NUMERICAL,
@@ -209,7 +210,74 @@ class TestEvolve:
         assert outs[0] == outs[1]
 
 
+def _entries(values):
+    """A raw-entries state file: flat index -> complex entry, every other entry 0.0."""
+    pairs = [[0.0, 0.0] for _ in range(16)]
+    for i, z in values.items():
+        pairs[i] = [z.real, z.imag]
+    return {"entries": pairs}
+
+
+#: states of the report contract (a state file, or None for random seed 5), and a
+#: fragment their g = 1 report holds
+_REPORT_STATES = {
+    "full-rank": (None, None),
+    "x-werner": ({"family": "werner", "params": {"p": 0.7}}, None),
+    "x-bell-diagonal": ({"family": "bell_diagonal", "params": {"p": [0.1, 0.2, 0.3, 0.4]}}, None),
+    "basis": ({"family": "basis", "params": {"a": "excited", "b": "ground"}}, None),
+    # rho11 = rho22 = -0.0 and rho12 = +0.0 make alpha -0.0; rho13 = -0.0 makes beta's real part
+    "minus-zeros": (_entries({0: 0.5, 5: complex(-0.0, 0.0), 10: complex(-0.0, 0.0), 15: 0.5,
+                              7: complex(-0.0, 0.0), 13: complex(-0.0, -0.0)}),
+                    '"alpha": -0.0,\n "beta": [\n  -0.0,'),
+    # a -1e-7j coherence of |01> with |00> leaves rho_as entries that print as -0.000000
+    "tiny-negative": (_entries({0: 0.25, 5: 0.25, 10: 0.25, 15: 0.25, 7: -1e-7j, 13: 1e-7j}),
+                      "-0.000000j"),
+}
+
+
+def _readme_report(rho0, g):
+    """The ``asymptotic`` report of rho0 at g as README's "Output bytes" builds it
+    from the ndarray ``asymptotic_state(rho0, g)``: ``(json, text)``."""
+    rho_as = propagator.asymptotic_state(rho0, g)
+    c = twoatom.asymptotic_concurrence(rho_as)
+    payload, text = {"g": g}, []
+    if g == 1.0:
+        pars = propagator.asymptotic_params(rho0)
+        payload |= {"alpha": pars.alpha, "beta": [pars.beta.real, pars.beta.imag]}
+        text += [f"alpha = {pars.alpha!r}", f"beta = {pars.beta!r}"]
+    payload |= {"rho_as": [[float(z.real), float(z.imag)] for z in rho_as.flat], "concurrence": c}
+    if g < 1.0:
+        payload["note"] = "uniquely relaxing for g < 1: asymptotic state is ground x ground"
+        text.append(payload["note"])
+    text.append("rho_as =")
+    text += ["  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row) for row in rho_as]
+    text.append(f"concurrence = {c!r}")
+    return json.dumps(payload, indent=1) + "\n", "".join(f"{line}\n" for line in text)
+
+
 class TestAsymptotic:
+    @pytest.mark.parametrize("g", ["1", "0.5", "0"])
+    @pytest.mark.parametrize("name", sorted(_REPORT_STATES))
+    def test_report_bytes_follow_the_readme(self, tmp_path, capsys, name, g):
+        """JSON and text reports equal, byte for byte, the ones built from the
+        ndarray limit: JSON ``[re, im]`` pairs through ``json.dumps(..., indent=1)``,
+        text rows of numpy entries at six decimals."""
+        obj, holds = _REPORT_STATES[name]
+        if obj is None:
+            state = ["--state", "random", "--seed", "5"]
+            rho0 = qmat.random_density_matrix(np.random.default_rng(5))
+        else:
+            path = _write_state(tmp_path, "s.json", obj)
+            state = ["--state", path]
+            with open(path, encoding="utf-8") as fp:
+                rho0 = statefile.load_state(fp)
+        want_json, want_text = _readme_report(rho0, float(g))
+        if holds is not None and g == "1":
+            assert holds in want_json + want_text
+        for fmt, want in (("json", want_json), ("csv", want_text)):
+            assert main(["asymptotic", *state, "--g", g, "--format", fmt]) == EXIT_OK
+            assert capsys.readouterr() == (want, "")
+
     def test_maximally_mixed_start(self, tmp_path):
         state = _write_state(tmp_path, "w0.json", {"family": "werner", "params": {"p": 0.0}})
         out = tmp_path / "rep.json"
@@ -805,9 +873,13 @@ class TestDispatch:
 
 
 def _cli_argv_env(*args):
-    """Argv and environment that run ``python -m twoatom.cli`` from this source tree."""
+    """Argv and environment that run this source tree's CLI in a new process: through
+    the console script that TWOATOM_CONSOLE_SCRIPT names (an installed ``twoatom``)
+    when that is set, else ``python -m twoatom.cli``."""
     src = str(Path(twoatom.__file__).resolve().parents[1])
-    return [sys.executable, "-m", "twoatom.cli", *args], {**os.environ, "PYTHONPATH": src}
+    script = os.environ.get("TWOATOM_CONSOLE_SCRIPT")
+    command = [script] if script else [sys.executable, "-m", "twoatom.cli"]
+    return [*command, *args], {**os.environ, "PYTHONPATH": src}
 
 
 class TestBrokenPipe:
@@ -896,6 +968,89 @@ class TestClosedStdout:
         proc = subprocess.run(closed + argv, stderr=subprocess.PIPE, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
         assert out.read_text().startswith("t,concurrence\n")
+
+
+#: command lines that a parser rejects, read from a real sys.argv: nothing, an unknown
+#: subcommand, an option before the subcommand, an unknown flag after it
+_REJECTED = {
+    "nothing": [],
+    "bogus": ["bogus"],
+    "option-first": ["--seed", "1", "concurrence", "--state", "random"],
+    "unknown-flag": ["concurrence", "--state", "random", "--bogus"],
+}
+
+
+def _readme_figure_loop() -> str:
+    """The lines of README's Scripts block that write the three figure files."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.startswith(("mkdir -p out", "for f in "))]
+    assert len(lines) == 2, lines
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def console_runs(tmp_path_factory):
+    """``(exit code, stdout, stderr)`` of each console probe, and the directory they
+    ran in.  The probes start at once: a spawn takes about 0.25 s, mostly numpy's import."""
+    cwd = tmp_path_factory.mktemp("console")
+    (cwd / "bad.json").write_bytes(b"\xff\xfe{}")
+    argv, env = _cli_argv_env()
+    probes = {
+        "closed-stdin": (["sh", "-c", '"$@" <&-', "sh", *argv, "concurrence", "--state", "-"],
+                         None, env),
+        "strict-utf8-stdin": ([*argv, "concurrence", "--state", "-"], "bad.json",
+                              {**env, "PYTHONIOENCODING": "utf-8"}),
+        "figure-loop": (["sh", "-c", f'twoatom() {{ command {shlex.join(argv)} "$@"; }}\n'
+                         + _readme_figure_loop()], None, env),
+    } | {f"rejected-{name}": ([*argv, *args], None, env) for name, args in _REJECTED.items()}
+    with contextlib.ExitStack() as stack:
+        procs = {
+            name: subprocess.Popen(
+                command, cwd=cwd, env=penv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                stdin=stack.enter_context(open(cwd / stdin, "rb")) if stdin else subprocess.DEVNULL)
+            for name, (command, stdin, penv) in probes.items()
+        }
+        for proc in procs.values():
+            stack.callback(proc.kill)  # a no-op once the probe has exited
+        runs = {}
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=60)
+            runs[name] = (proc.returncode, out, err.decode())
+    return runs, cwd
+
+
+class TestConsoleProbes:
+    """The checks of the workflow's console-script steps that need a real process:
+    fd 0 closed (``<&-``), a stdin that decodes UTF-8 strictly, a real ``sys.argv``,
+    and README's figure loop in a shell."""
+
+    def test_closed_stdin_is_bad_state(self, console_runs):
+        runs, _ = console_runs
+        assert runs["closed-stdin"] == (EXIT_BAD_STATE, b"", "error: stdin is closed\n")
+
+    def test_undecodable_stdin_is_bad_state(self, console_runs):
+        runs, _ = console_runs
+        code, out, err = runs["strict-utf8-stdin"]
+        assert (code, out) == (EXIT_BAD_STATE, b"")
+        assert len(err.splitlines()) == 1 and err.count("error:") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(_REJECTED))
+    def test_rejected_command_line(self, console_runs, name):
+        runs, _ = console_runs
+        code, out, err = runs[f"rejected-{name}"]
+        assert (code, out) == (EXIT_UNSUPPORTED, b"")
+        assert len(err.splitlines()) == 1 and err.count("error:") == 1
+
+    def test_readme_figure_loop_writes_three_files(self, console_runs):
+        runs, cwd = console_runs
+        assert runs["figure-loop"] == (EXIT_OK, b"", "")
+        headers = {
+            "fig1": "t,c_phi_plus,c_psi_plus",
+            "fig2": "delta,purity,c_initial,c_asymptotic",
+            "fig3": "t,c_plus,c_minus",
+        }
+        for which, header in headers.items():
+            assert (cwd / "out" / f"{which}.csv").read_text().split("\n", 1)[0] == header
 
 
 class TestLargeRates:

@@ -11,7 +11,9 @@ from twoatom import qmat
 from twoatom.entanglement import concurrence
 from twoatom.model import ModelParams, ParameterError, evolve_series, lindblad_rhs
 from twoatom.propagator import (
+    _LEVEL_PROJECTORS,
     DegenerateRatesError,
+    _level_rates,
     asymptotic_params,
     asymptotic_state,
     c_max,
@@ -268,8 +270,35 @@ class TestAsymptoticMap:
             for rho in random_states(139, 5):
                 assert np.abs(asymptotic_state(rho, g) - ground).max() <= 1e-15
 
+    @pytest.mark.parametrize("g", [0.0, 1e-300, 0.5, np.nextafter(1.0, 0.0), 1.0])
+    def test_dark_projector_is_the_rate_rules(self, g):
+        """The projector picked from the two built at import is the one the rate
+        rule gives at this g: the levels whose rate is exactly 0."""
+        dark = _LEVEL_PROJECTORS[_level_rates(ModelParams(1.0, g)) == 0.0].sum(0)
+        for rho in random_states(151, 5) + [EXCITED_GROUND, bell("psi_minus"), werner(0.3)]:
+            want = dark @ rho @ dark
+            want[3, 3] += rho.trace() - want.trace()
+            assert np.array_equal(asymptotic_state(rho, g), want)
+
+    @pytest.mark.parametrize(
+        "r11, r22, r12, r13, r23",
+        [(-0.0, -0.0, 0.0, -0.0, 0.0), (0.25, 0.25, np.nextafter(0.25, 1.0), -0.0 - 0.5j, 0.0),
+         (0.5, 0.5, -0.500000000000001, 0.1 - 0.0j, -0.0 + 0.2j), (np.nan, 0.5, 0.0, 0.0, 0.0)],
+        ids=["alpha-minus-zero", "alpha-below-0", "alpha-above-half", "alpha-nan"],
+    )
+    def test_params_match_numpy_arithmetic(self, r11, r22, r12, r13, r23):
+        """alpha, clamped by min and max, and beta on Python numbers are numpy's
+        clip and complex arithmetic to the bit, signed zeros and NaN included."""
+        r = np.zeros((4, 4), dtype=complex)
+        r[1, 1], r[2, 2], r[1, 2], r[1, 3], r[2, 3] = r11, r22, r12, r13, r23
+        raw = 0.25 * (r[1, 1] + r[2, 2] - 2.0 * r[1, 2].real).real
+        pars = asymptotic_params(r)
+        assert repr(pars.alpha) == repr(float(np.clip(raw, 0.0, 0.5)))
+        assert repr(pars.beta) == repr(complex(0.5 * (r[1, 3] - r[2, 3])))
+        assert type(pars.alpha) is float and type(pars.beta) is complex
+
     def test_g_out_of_range(self):
-        for g in (-0.1, 1.5, np.nan):
+        for g in (-0.1, 1.5, 7.0, np.nan):
             with pytest.raises(ParameterError):
                 asymptotic_state(EXCITED_GROUND, g)
 
