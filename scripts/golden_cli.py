@@ -5,15 +5,16 @@
 
 Runs a fixed list of argv in process through ``twoatom.cli.main``, first
 from this tree's ``src/`` and then from ``OTHER_TREE/src``, and captures
-stdout, stderr and the exit code of each call.  The list covers ``evolve``
-(rk4 and closed-form, csv and json, with and without ``--with-rho``),
-``figure fig1-fig3``, ``asymptotic``, ``concurrence`` and ``peak``,
-extreme rates and closed-form calls at g near 0 and 1 included, the
-parser's error and help paths, and calls through the two other
-streams: ``--output FILE``, whose bytes count as the call's stdout (a file
-the call did not create as the line ``[no file]``), and ``--state -``,
-written ``... --state - < FILE`` and fed FILE on stdin.  One line
-per call says whether the two trees gave byte-identical stdout, stderr and
+stdout, stderr and the exit code of each call.  The list covers
+``evolve`` (rk4 and closed-form, csv and json, with and without
+``--with-rho``), ``figure fig1-fig3``, ``asymptotic``, ``concurrence``
+and ``peak``, extreme rates, closed-form calls at g near 0 and 1 and
+stacks of more than one block (513 to 2,001 samples) included, the
+parser's error and help paths, and calls through the two other streams:
+``--output FILE``, whose bytes count as the call's stdout (a file the
+call did not create as the line ``[no file]``), and ``--state -``,
+written ``... --state - < FILE`` and fed FILE on stdin.  One line per
+call says whether the two trees gave byte-identical stdout, stderr and
 exit code, and the largest absolute difference between the numbers in
 their output.  Exits 1 if any call differs in any byte, 0 otherwise.
 With ``--atol X`` a call also passes (marked ``near``) when the exit codes
@@ -106,6 +107,11 @@ def golden_argvs(state_dir: Path) -> list[list[str]]:
         for name in ("excited_ground", "mes", "entries"):
             argvs.append(["evolve", "--state", paths[name]] + extra)
     argvs.append(["evolve", "--state", "random", "--seed", "7", "--method", "closed-form"])
+    # stacks of more than one block of qmat's passes (256 states), complex non-X and X
+    for samples in ("513", "2001"):
+        for name in ("mes_phased", "entries", "x_mixed"):
+            for extra in (["--method", "closed-form"], ["--with-rho", "--format", "json"]):
+                argvs.append(["evolve", "--state", paths[name], "--samples", samples] + extra)
     # near-degenerate rates (the divided difference of propagator._fed) and
     # rate-time products that overflow
     for path in paths.values():
@@ -121,6 +127,7 @@ def golden_argvs(state_dir: Path) -> list[list[str]]:
                 argvs.append(
                     ["figure", which, "--gamma0", gamma0, "--samples", samples, "--format", fmt]
                 )
+        argvs.append(["figure", which, "--samples", "1025"])
     for path in paths.values():
         argvs.append(["concurrence", "--state", path])
         for g in ("1", "0.5"):

@@ -18,6 +18,26 @@ class NotPureError(ValueError):
     """Entropy of entanglement is defined for pure states only."""
 
 
+def _lambdas(h: np.ndarray) -> np.ndarray:
+    """:func:`wootters_lambdas` of a checked Hermitian part h: one state or a stack."""
+    x = qmat._factor(h)
+    # s2 x s2 is anti-diagonal, signs (-1, 1, 1, -1): X^T (s2 x s2) X = a + a^T
+    a = x[..., 1, :, None] * x[..., 2, None, :]
+    a -= x[..., 0, :, None] * x[..., 3, None, :]
+    return np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
+
+
+def _wootters_form(h: np.ndarray) -> np.ndarray:
+    lam = _lambdas(h)
+    return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+
+
+def _x_form(h: np.ndarray) -> np.ndarray:
+    # h11, h22, h44, h33, h14, h23; |h14| - sqrt(h22 h33) and |h23| - sqrt(h11 h44)
+    d = np.maximum(h[..., :4].real, 0.0)
+    return 2.0 * (abs(h[..., 4:]) - np.sqrt(d[..., :2] * d[..., 2:])[..., ::-1]).max(-1)
+
+
 def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     """Descending square roots of the spectrum of rho s conj(rho) s, s = s2 x s2, shape (..., 4).
 
@@ -30,10 +50,7 @@ def wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     about 2e-8 (on random pure product states).  l1 - l2 - l3 - l4 cancels
     them: the concurrence of such a state is about 1e-15 at most.
     """
-    x = qmat._factor(qmat._psd_check(rho))
-    # s2 x s2 is anti-diagonal, signs (-1, 1, 1, -1): X^T (s2 x s2) X = a + a^T
-    a = x[..., 1, :, None] * x[..., 2, None, :] - x[..., 0, :, None] * x[..., 3, None, :]
-    return np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
+    return qmat._psd_check(rho, _lambdas)
 
 
 def concurrence(rho: np.ndarray):
@@ -43,29 +60,23 @@ def concurrence(rho: np.ndarray):
     maximally entangled pure states.  A float for one 4x4 state, an array of
     shape S for a stack of shape S + (4, 4).
 
-    One of three paths measures rho, each after the hermiticity and PSD checks
-    of :func:`qmat._psd_check`, with one verdict per state on every path:
+    One of three paths measures rho, each after the shape, hermiticity and PSD
+    checks of :func:`qmat._psd_check`, with one verdict per state on every path:
       * X states, when no state of the input has a nonzero entry off the
         diagonal and the anti-diagonal: the checks and the Hermitian part h
-        come from the X entries alone (:func:`qmat._psd_check_x`), and the
-        closed form 2 max(0, |h14| - sqrt(h22 h33), |h23| - sqrt(h11 h44))
+        come from the X entries alone, and the closed form
+        2 max(0, |h14| - sqrt(h22 h33), |h23| - sqrt(h11 h44))
         (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)), each h_ii clamped
         at 0, needs no LAPACK call.  Collective decay keeps an X state an X
         state, entry for entry, and every start of the paper is one.
       * any other stack: a pivoted Cholesky factor and a complex ``svd``;
       * any other single state: an ``eigh`` factor and a complex ``svd``.
-    The last two are :func:`wootters_lambdas`.
+    The last two are :func:`wootters_lambdas`.  A stack is checked and measured in
+    blocks of ``qmat._BLOCK`` states: each result, verdict and error is one pass's,
+    bit for bit, in working memory that does not grow with the stack.
     """
-    m = np.asarray(rho, dtype=complex)
-    h = qmat._psd_check_x(m)
-    if h is None:
-        lam = wootters_lambdas(m)
-        c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    else:
-        # h11, h22, h44, h33, h14, h23; |h14| - sqrt(h22 h33) and |h23| - sqrt(h11 h44)
-        d = np.maximum(h[..., :4].real, 0.0)
-        c = 2.0 * (abs(h[..., 4:]) - np.sqrt(d[..., :2] * d[..., 2:])[..., ::-1]).max(-1)
-    c = np.minimum(np.maximum(c, 0.0), 1.0)
+    c = qmat._psd_check(rho, _wootters_form, _x_form)
+    np.minimum(np.maximum(c, 0.0, out=c), 1.0, out=c)
     return c if c.ndim else float(c)
 
 

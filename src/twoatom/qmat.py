@@ -45,6 +45,9 @@ _OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 _X_UPPER = np.array([0, 5, 15, 10, 3, 6])
 _X_LOWER = np.array([0, 5, 15, 10, 12, 9])
 
+#: states per block of a pass over a stack: 64 KiB per complex temporary, which the heap reuses
+_BLOCK = 256
+
 
 class NotHermitianError(ValueError):
     """Raised when a Hermitian matrix was expected."""
@@ -107,33 +110,41 @@ def _x_blocks_pd(e: np.ndarray) -> np.ndarray:
         return (d[..., 2:] - (e[..., 4:].real / s) ** 2 - (e[..., 4:].imag / s) ** 2 > 0.0).all(-1)
 
 
+def _blocks(a: np.ndarray) -> list:
+    """Views of a stack: one under 2 * _BLOCK states, else _BLOCK states each but a shorter last."""
+    return [a] if len(a) < 2 * _BLOCK else [a[s : s + _BLOCK] for s in range(0, len(a), _BLOCK)]
+
+
 def _psd_min_eigenvalues(m: np.ndarray):
     """None when ``m``, one state or a stack, passes the PSD check, else the
     minimum eigenvalue of each state's Hermitian part (NaN for a non-finite state).
 
-    A finite input passes at once when every state shifted by TOL_STRUCTURAL * I
-    is positive definite, as it is exactly when its minimum eigenvalue exceeds
-    -TOL_STRUCTURAL, up to rounding at the threshold.  An X state (no nonzero
-    entry off the diagonal and the anti-diagonal) is decided by its 2x2 blocks
-    (:func:`_x_blocks_pd`), any other by one stacked Cholesky factor, both from
-    the lower triangle.  Only an input that fails pays for the spectra of
-    :func:`state_health`; in a stack, each state they reject is asked alone, up
-    to the first that fails alone, and one that passes reads +inf.  So a state
-    gets one verdict alone, in any stack and from the RK4 guard.
+    A finite input passes at once when every state shifted by TOL_STRUCTURAL * I is positive
+    definite, as it is exactly when its minimum eigenvalue exceeds -TOL_STRUCTURAL, up to
+    rounding at the threshold.  An X state (no nonzero entry off the diagonal and the
+    anti-diagonal) is decided by its 2x2 blocks (:func:`_x_blocks_pd`), any other by a
+    stacked Cholesky factor, both from the lower triangle, in blocks of :data:`_BLOCK`
+    states: one pass's verdict, in working memory that does not grow with the stack.  Only a
+    failing input pays for :func:`state_health`'s spectra; in a stack, each state they
+    reject is asked alone, up to the first that fails alone, and one that passes reads +inf:
+    one verdict per state, in any stack or guard.
     """
-    if np.isfinite(m).all():
-        flat = m.reshape(m.shape[:-2] + (16,))
-        x = flat[..., 1] == 0  # a nonzero m12 rules a state out, at an eighth of the cost
+    for f in _blocks(m.reshape(-1, 16)):
+        if not np.isfinite(f).all():
+            break
+        x = f[:, 1] == 0  # a nonzero m12 rules a state out, at an eighth of the cost
         if x.any():
-            x &= ~flat[..., _OFF_X].any(-1)
-        other = m[~x] if x.any() else m
-        if other is m or (_x_blocks_pd(flat[..., _X_LOWER]) | ~x).all():
-            try:
-                if other.size:
-                    np.linalg.cholesky(other + TOL_STRUCTURAL * IDENTITY_4)
-                return None
-            except np.linalg.LinAlgError:
-                pass
+            x &= ~f[:, _OFF_X].any(-1)
+        other = f[~x] if x.any() else f
+        if not (other is f or (_x_blocks_pd(f[:, _X_LOWER]) | ~x).all()):
+            break
+        try:
+            if other.size:
+                np.linalg.cholesky(other.reshape(-1, 4, 4) + TOL_STRUCTURAL * IDENTITY_4)
+        except np.linalg.LinAlgError:
+            break
+    else:
+        return None
     min_eig = state_health(m)[2][..., 0]
     if m.ndim > 2:
         for i in zip(*np.nonzero(~(min_eig >= -TOL_STRUCTURAL))):
@@ -144,41 +155,48 @@ def _psd_min_eigenvalues(m: np.ndarray):
     return min_eig
 
 
-def _psd_check(m: np.ndarray) -> np.ndarray:
-    """The Hermitian part of a PSD state, or of each in a stack.  Raises
-    ``NotHermitianError`` for a hermiticity defect above TOL_STRUCTURAL, and
-    ``NotPSDError`` when :func:`_psd_min_eigenvalues` (the RK4 guard's call, one
-    rule per state: X blocks, else Cholesky) rejects ``m``: one verdict everywhere."""
+def _psd_check(m, measure=np.asarray, measure_x=None) -> np.ndarray:
+    """``measure(h)`` of the Hermitian part h of ``m``, one state or a stack of shape
+    S + (4, 4), in shape S + the measure's own (by default h).  ``measure_x`` (if given)
+    takes h11, h22, h44, h33, h14, h23 instead when no entry off the X pattern is nonzero.
+    Raises ``InvalidStateError`` for any other shape, ``NotHermitianError`` for a defect
+    max|m - m^H| above TOL_STRUCTURAL, ``NotPSDError`` when :func:`_psd_min_eigenvalues`
+    rejects ``m``, each naming the whole input's extreme.  Blocks give one pass's bits."""
     m = np.asarray(m, dtype=complex)
-    return _checked_half_sum(m, dag(m), lambda: _psd_min_eigenvalues(m))
+    if m.shape[-2:] != (4, 4):
+        detail = f"shape {reprlib.repr(m.shape)}, expected (..., 4, 4)"
+        raise InvalidStateError({"shape": float(m.size)}, detail)
+    # views of m as it is laid out: the factor's rounding follows the layout
+    blocks = _blocks(m.reshape(-1, 4, 4))
+    x = measure_x is not None and not any(s.reshape(-1, 16)[:, _OFF_X].any() for s in blocks)
 
-
-def _psd_check_x(m: np.ndarray) -> np.ndarray | None:
-    """None when some state of the complex input ``m`` has a nonzero entry off the X
-    pattern (diagonal, anti-diagonal), else :func:`_psd_check` from its X entries
-    alone: h11, h22, h44, h33, h14, h23 per state, shape S + (6,).  Off-X entries
-    add 0 to the defect and nothing to h, so both match the general check's bit for
-    bit; past the defect check every entry is finite: the X rule applies."""
-    flat = m.reshape(m.shape[:-2] + (16,))
-    if flat[..., _OFF_X].any():
-        return None
-    a, b = flat[..., _X_UPPER], flat[..., _X_LOWER].conj()
-    return _checked_half_sum(
-        a, b, lambda: None if _x_blocks_pd(b).all() else _psd_min_eigenvalues(m)
-    )
-
-
-def _checked_half_sum(a: np.ndarray, b: np.ndarray, min_eigenvalues) -> np.ndarray:
-    """0.5 a + 0.5 b (b: conjugates of a's transposes) once max|a - b| and the verdict pass."""
+    def pair(s):  # a block's entries that h halves, and the conjugates of their transposes
+        f = s.reshape(-1, 16)
+        return (f[:, _X_UPPER], f[:, _X_LOWER].conj()) if x else (s, dag(s))
+    # off-X entries, all 0 on the X path, add nothing to the defect or to h: the same bits
+    defect, x_pd = 0.0, x
     # inf - inf and overflow make the defect NaN or inf, which fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = abs(a - b).max(initial=0.0)
+        for s in blocks:
+            held = a, c = pair(s)
+            defect = abs(a - c).max(initial=defect)
+            x_pd = x_pd and _x_blocks_pd(c).all()
     if not defect <= TOL_STRUCTURAL:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_STRUCTURAL:.1e}")
-    min_eig = min_eigenvalues()
+    min_eig = None if x_pd else _psd_min_eigenvalues(m)
     if min_eig is not None and not min_eig.min() >= -TOL_STRUCTURAL:
         raise NotPSDError(f"minimum eigenvalue {min_eig.min():.3e} below -{TOL_STRUCTURAL:.1e}")
-    return 0.5 * a + 0.5 * b
+    for i, s in enumerate(blocks):
+        a, c = held if len(blocks) == 1 else pair(s)
+        h = 0.5 * a
+        h += 0.5 * c
+        held = a = c = None  # free the block's copies before it is measured
+        r = np.asarray((measure_x if x else measure)(h if m.ndim > 2 else h[0]))
+        if len(blocks) == 1:
+            return r.reshape(m.shape[:-2] + r.shape[m.ndim > 2 :])
+        out = np.empty((m.size // 16,) + r.shape[1:], r.dtype) if i == 0 else out
+        out[i * _BLOCK : i * _BLOCK + len(r)] = r
+    return out.reshape(m.shape[:-2] + out.shape[1:])
 
 
 def _factor(h: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -306,6 +308,111 @@ class TestStackedMeasures:
         assert stack.shape == (11, 4, 4)
         for d, m in zip(deltas, stack):
             assert np.array_equal(m, mems(d))
+
+
+def _random_x_states(rng, n):
+    """n seeded X states: a random diagonal, |rho14| and |rho23| up to their PSD bounds."""
+    p = rng.dirichlet(np.ones(4), n)
+    rho = np.zeros((n, 4, 4), dtype=complex)
+    rho[:, range(4), range(4)] = p
+    for (i, j), (k, l) in (((0, 3), (0, 3)), ((1, 2), (1, 2))):
+        c = np.sqrt(p[:, k] * p[:, l]) * rng.uniform(0.0, 1.0, n)
+        c = c * np.exp(2j * np.pi * rng.uniform(size=n))
+        rho[:, i, j], rho[:, j, i] = c, c.conj()
+    return rho
+
+
+def _pieces(rng, n):
+    """Random cuts of range(n) into pieces of 1 to 255 states."""
+    ends = np.cumsum(rng.integers(1, 256, n))
+    return list(zip(np.append(0, ends[ends < n]), np.append(ends[ends < n], n)))
+
+
+class TestBlockedStacks:
+    """A stack around and across block boundaries (qmat measures stacks in blocks
+    of 256 states) gets, state for state and bit for bit, what its sub-stacks
+    shorter than one block get, and the errors that name the whole input."""
+
+    SHAPES = [(255,), (256,), (511,), (512,), (513,), (2001,), (3, 700)]
+
+    @pytest.fixture(scope="class")
+    def pools(self):
+        """2,100 X and 2,100 non-X states: an RK4 trajectory and seeded states, shuffled."""
+        rng = np.random.default_rng(320)
+        grid = time_grid(5.0, 1050)
+        x_start = _random_x_states(rng, 1)[0]
+        params = ModelParams(1.0, 0.99)
+        x = np.concatenate([evolve_series(x_start, params, grid), _random_x_states(rng, 1050)])
+        other = np.concatenate([
+            evolve_series(mes(0.3, 0.4, 1.9), params, grid), random_states(321, 1050)
+        ])
+        assert not x[:, _OFF_X].any() and other[:, _OFF_X].any(axis=-1).all()
+        return {"X": x[rng.permutation(2100)], "non-X": other[rng.permutation(2100)]}
+
+    @pytest.mark.parametrize("kind", ["X", "non-X"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_stack_equals_its_sub_stacks(self, pools, kind, shape):
+        n = int(np.prod(shape))
+        flat = pools[kind][:n]
+        pieces = _pieces(np.random.default_rng(n), n)
+        for fn in (concurrence, wootters_lambdas):
+            whole = fn(flat.reshape(shape + (4, 4)))
+            assert whole.shape == shape + (() if fn is concurrence else (4,))
+            parts = np.concatenate([fn(flat[a:b]) for a, b in pieces])
+            assert np.array_equal(whole.reshape(parts.shape), parts), fn.__name__
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_one_off_x_state_in_the_last_block_sends_all_to_the_general_path(self, pools, shape):
+        n = int(np.prod(shape))
+        flat = pools["X"][:n].copy()
+        flat[-1] = pools["non-X"][0]
+        pieces = _pieces(np.random.default_rng(n + 1), n)
+        general = np.concatenate([_general_concurrence(flat[a:b]) for a, b in pieces])
+        assert np.array_equal(concurrence(flat.reshape(shape + (4, 4))).ravel(), general)
+
+    @pytest.mark.parametrize("kind", ["X", "non-X"])
+    def test_errors_name_the_extreme_of_the_whole_stack(self, pools, kind):
+        """The first bad state sits in the first block, the worst in the second."""
+        stack = pools[kind][:600].copy()
+        stack[20, 3, 0] += 2e-6
+        stack[500, 3, 0] += 3e-3
+        message = r"^hermiticity defect 3.000e-03 exceeds 1.0e-09$"
+        with pytest.raises(NotHermitianError, match=message):
+            concurrence(stack)
+        stack = pools[kind][:600].copy()
+        stack[20] = np.diag([0.5, 0.5 + 2e-6, 0.0, -2e-6])
+        stack[500] = np.diag([0.5, 0.5 + 3e-3, 0.0, -3e-3])
+        message = r"^minimum eigenvalue -3.000e-03 below -1.0e-09$"
+        for fn in (concurrence, wootters_lambdas):
+            with pytest.raises(NotPSDError, match=message):
+                fn(stack)
+
+    @pytest.mark.parametrize(
+        "rho", [np.zeros((2, 3, 3)), np.ones(16), np.zeros((2, 8, 8))], ids=["3x3", "flat", "8x8"]
+    )
+    def test_a_shape_not_ending_in_4x4_is_named(self, rho):
+        shape = re.escape(str(rho.shape))
+        message = rf"^not a valid density matrix: shape {shape}, expected \(\.\.\., 4, 4\)$"
+        for fn in (concurrence, wootters_lambdas, is_ppt_separable, entropy_of_entanglement):
+            with pytest.raises(InvalidStateError, match=message) as exc:
+                fn(rho)
+            assert exc.value.violations == {"shape": float(rho.size)}, fn.__name__
+
+
+class TestWorkingSet:
+    """concurrence walks a stack in blocks: its working memory (numpy buffers,
+    which tracemalloc traces) does not grow with the stack."""
+
+    @pytest.mark.parametrize("start", [bell("psi_plus"), mes(0.3, 0.4, 1.9)], ids=["X", "non-X"])
+    def test_under_one_mib_at_20001_states(self, start):
+        traj = evolve_series(start, ModelParams(1.0, 0.99), time_grid(5.0, 20001))
+        tracemalloc.start()
+        try:
+            concurrence(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _sandwich_lambdas(rho):

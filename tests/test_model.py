@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -231,6 +233,49 @@ class TestPositivityGuard:
         message = rf"^state at t={self.T_GRID[2]:g} has minimum eigenvalue nan;"
         with pytest.raises(StepTooLargeError, match=message):
             _check_positivity(stack, self.T_GRID)
+
+    @pytest.mark.parametrize("start", [werner(0.7), mes(0.3, 0.4, 1.9)], ids=["X", "non-X"])
+    def test_first_bad_time_across_blocks(self, start):
+        """Bad states in two blocks of 256 states: the first, not the worst, is named."""
+        grid = model.time_grid(5.0, 1000)
+        traj = evolve_series(start, ModelParams(1.0, 0.7), grid)
+        traj[300] = np.diag([0.5, 0.5 + 2e-6, 0.0, -2e-6])
+        traj[800] = np.diag([0.5, 0.5 + 5e-3, 0.0, -5e-3])
+        message = rf"^state at t={grid[300]:g} has minimum eigenvalue -2.000e-06;"
+        with pytest.raises(StepTooLargeError, match=message):
+            _check_positivity(traj, grid)
+
+    @pytest.mark.parametrize("start", [werner(0.7), mes(0.3, 0.4, 1.9)], ids=["X", "non-X"])
+    @pytest.mark.parametrize(
+        "shape", [(255,), (256,), (511,), (512,), (513,), (2001,), (3, 700)], ids=str
+    )
+    def test_around_block_boundaries(self, start, shape):
+        """A trajectory around and across block boundaries passes, and one bad
+        state in its last block is named."""
+        grid = model.time_grid(5.0, int(np.prod(shape))).reshape(shape)
+        traj = evolve_series(start, ModelParams(1.0, 0.7), grid).reshape(-1, 4, 4)
+        assert qmat._psd_min_eigenvalues(traj) is None
+        traj[-2] = np.diag([0.5, 0.5 + 2e-6, 0.0, -2e-6])
+        message = rf"^state at t={grid.flat[-2]:g} has minimum eigenvalue -2.000e-06;"
+        with pytest.raises(StepTooLargeError, match=message):
+            _check_positivity(traj, grid.ravel())
+
+
+class TestWorkingSet:
+    """evolve_series fills its output in place and guards it in blocks: past the
+    output its working memory (numpy buffers, which tracemalloc traces) does
+    not grow with the grid."""
+
+    @pytest.mark.parametrize("start", [bell("psi_plus"), mes(0.3, 0.4, 1.9)], ids=["X", "non-X"])
+    def test_output_plus_under_one_mib_at_20001_samples(self, start):
+        grid = model.time_grid(5.0, 20001)
+        tracemalloc.start()
+        try:
+            traj = evolve_series(start, ModelParams(1.0, 0.99), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.nbytes + 2**20
 
 
 def _rk4_loop(rho, params, t_grid, step):

@@ -370,23 +370,25 @@ class TestXStateVerdict:
                 concurrence(rho)
 
     def test_x_check_reads_what_the_general_check_reads(self):
-        """_psd_check_x returns the X entries of _psd_check's Hermitian part
-        bit for bit, rejects with the same message, and returns None when a
-        state has a nonzero off-X entry."""
+        """The X path of _psd_check (measure_x) takes the X entries of the
+        general path's Hermitian part bit for bit and rejects with the same
+        message; a state with a nonzero off-X entry sends the input to the
+        general path."""
         traj = evolve_series(_PSD_X[2], ModelParams(1.0, 0.7), time_grid(5.0, 101))
         for rho in [traj, traj[7], np.array(_PAPER_X_STARTS, dtype=complex)]:
             h = qmat._psd_check(rho).reshape(rho.shape[:-2] + (16,))[..., qmat._X_UPPER]
-            assert np.array_equal(qmat._psd_check_x(rho), h)
+            assert np.array_equal(qmat._psd_check(rho, _raises("general"), np.asarray), h)
         mixed = np.array(_PSD_X + random_states(5, 1), dtype=complex)
         for rho in (mixed, mixed[-1], mes(0.3, 0.4, 1.9).astype(complex)):
-            assert qmat._psd_check_x(rho) is None
+            general = qmat._psd_check(rho, np.asarray, _raises("X"))
+            assert np.array_equal(general, qmat._psd_check(rho))
         skewed = _x_state([0.4, 0.2, 0.15, 0.25], 0.1, 0.0)
         skewed[3, 0] = 0.1 + 3e-9j
         for bad in (skewed, _INDEFINITE_X[0].astype(complex)):
             with pytest.raises(ValueError) as general:
                 qmat._psd_check(bad)
             with pytest.raises(type(general.value), match=f"^{re.escape(str(general.value))}$"):
-                qmat._psd_check_x(bad)
+                qmat._psd_check(bad, _raises("general"), np.asarray)
 
 
 class TestValidateState:
