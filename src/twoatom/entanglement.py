@@ -1,8 +1,9 @@
 """Entanglement measures and separability tests for two-qubit states.
 
-Concurrence is the workhorse mixed-state measure here; the entropy of
-entanglement is provided for pure states only, and the partial-transpose
-criterion gives the exact separability decision in 2x2 dimensions.
+Concurrence is the measure of the paper, for pure and mixed states alike
+(for a pure state every other entanglement monotone is a function of it);
+the partial-transpose criterion gives the exact separability decision in
+2x2 dimensions, an independent check of concurrence's zero set.
 """
 
 from __future__ import annotations
@@ -11,11 +12,7 @@ import numpy as np
 
 from . import qmat
 
-__all__ = ["asymptotic_concurrence", "concurrence", "entropy_of_entanglement", "is_ppt_separable"]
-
-
-class NotPureError(ValueError):
-    """Entropy of entanglement is defined for pure states only."""
+__all__ = ["asymptotic_concurrence", "concurrence", "is_ppt_separable"]
 
 
 def _lambdas(h: np.ndarray) -> np.ndarray:
@@ -92,29 +89,13 @@ def asymptotic_concurrence(rho0: np.ndarray):
     return c if c.ndim else float(c)
 
 
-def is_ppt_separable(rho: np.ndarray) -> bool:
+def _ppt(h: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(qmat.partial_transpose_a(h))[..., 0] >= -qmat.TOL_STRUCTURAL
+
+
+def is_ppt_separable(rho: np.ndarray):
     """Exact 2x2 separability: no partial-transpose eigenvalue below -qmat.TOL_STRUCTURAL,
-    for a rho that passes the checks of :func:`concurrence` (else their error)."""
-    pt = qmat.partial_transpose_a(qmat._psd_check(rho))
-    return bool(np.linalg.eigvalsh(pt)[0] >= -qmat.TOL_STRUCTURAL)
-
-
-def entropy_of_entanglement(rho: np.ndarray) -> float:
-    """Base-2 von Neumann entropy of the reduced state of a pure rho.
-
-    Checks rho as :func:`concurrence` does, then raises ``qmat.InvalidStateError``
-    naming the trace unless |tr rho - 1| <= qmat.TOL_STRUCTURAL, as
-    :func:`qmat.validate_state` does, and ``NotPureError`` unless
-    tr(rho^2) >= 1 - qmat.TOL_STRUCTURAL; the mixed-state extension (minimization
-    over decompositions) is out of scope, use :func:`concurrence` instead.
-    """
-    h = qmat._psd_check(rho)
-    trace_defect = float(abs(np.trace(np.asarray(rho)) - 1.0))
-    if not trace_defect <= qmat.TOL_STRUCTURAL:
-        raise qmat.InvalidStateError({"trace": trace_defect})
-    pur = float(np.trace(h @ h).real)
-    if pur < 1.0 - qmat.TOL_STRUCTURAL:
-        raise NotPureError(f"tr(rho^2) = {pur:.12f} below purity threshold")
-    p = np.clip(np.linalg.eigvalsh(qmat.partial_trace(h, "A")), 0.0, 1.0)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    for a rho that passes the checks of :func:`concurrence` (else their error).
+    A bool for one 4x4 state, a bool array of shape S for a stack of shape S + (4, 4)."""
+    ok = qmat._psd_check(rho, _ppt)
+    return ok if ok.ndim else bool(ok)

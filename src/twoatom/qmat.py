@@ -20,13 +20,13 @@ import reprlib
 import numpy as np
 
 __all__ = [
-    "InvalidStateError", "NotHermitianError", "NotPSDError", "partial_trace",
-    "partial_transpose_a", "validate_state",
+    "InvalidStateError", "NotHermitianError", "NotPSDError", "partial_transpose_a",
+    "validate_state",
 ]
 
 # Structural tolerance (hermiticity / trace / positivity of states): the one slack
-# of the Hermitian and PSD checks, of validate_state, of the PPT test, of the
-# purity test and of the RK4 positivity guard.
+# of the Hermitian and PSD checks, of validate_state, of the PPT test and of the
+# RK4 positivity guard.
 TOL_STRUCTURAL = 1e-9
 
 #: single-atom basis kets, |1> excited, |0> ground
@@ -75,28 +75,14 @@ def dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    """Trace out one atom, returning the 2x2 reduced state of the other.
-
-    ``subsystem`` names the atom that is traced *out*: ``"A"`` leaves the
-    state of atom B, ``"B"`` leaves the state of atom A.
-    """
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if subsystem == "A":
-        return np.trace(r, axis1=0, axis2=2)
-    if subsystem == "B":
-        return np.trace(r, axis1=1, axis2=3)
-    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-
-
 def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
-    """Transpose the atom-A indices only.
+    """Transpose the atom-A indices only, of one state or of each state of a stack.
 
     The result is Hermitian with the same trace but may be indefinite;
     its spectrum is the content of the separability criterion.
     """
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return r.transpose(2, 1, 0, 3).reshape(4, 4)
+    r = np.asarray(rho, dtype=complex)
+    return r.reshape(r.shape[:-2] + (2, 2, 2, 2)).swapaxes(-4, -2).reshape(r.shape)
 
 
 def _x_blocks_pd(e: np.ndarray) -> np.ndarray:

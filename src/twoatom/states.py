@@ -11,8 +11,7 @@ import numpy as np
 from . import qmat
 
 __all__ = [
-    "bell", "bell_diagonal", "bell_vector", "mems", "mems_h", "mes", "product_state",
-    "purity", "werner",
+    "bell", "bell_diagonal", "mems", "mems_h", "mes", "product_state", "purity", "werner",
 ]
 
 _BELL_KETS = {  # in the basis |11>, |10>, |01>, |00>
@@ -40,51 +39,28 @@ def product_state(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def bell_vector(which: str) -> np.ndarray:
-    """Bell ket: phi_pm = (|00> +- |11>)/sqrt2, psi_pm = (|10> +- |01>)/sqrt2."""
+def bell(which: str) -> np.ndarray:
+    """Projector onto phi_pm = (|00> +- |11>)/sqrt2 or psi_pm = (|10> +- |01>)/sqrt2, by name."""
     # a tuple test, not a dict one, so that an unhashable name is unknown too
     if which not in BELL_NAMES:
         raise ValueError(f"unknown Bell state {which!r}; expected one of {BELL_NAMES}")
-    return _BELL_KETS[which].copy()
-
-
-def bell(which: str) -> np.ndarray:
-    """Projector onto the named Bell state."""
-    v = bell_vector(which)
+    v = _BELL_KETS[which]
     return np.outer(v, v.conj())
 
 
 def mes(a: float, theta1: float, theta2: float) -> np.ndarray:
     """Maximally entangled pure state of the (a, theta1, theta2) family.
 
-    Built entry by entry rather than from a ket so that the rank-1 check in
-    the tests independently confirms the construction.  a in [0, 1], phases
-    in radians; a = 0, theta1 = theta2 = 0 reduces to the symmetric Bell
-    state psi_plus.
+    |v><v| / 2 for v = (a, b e^{i theta1}, b e^{i theta2}, -a e^{i(theta1 + theta2)}),
+    b = sqrt(1 - a^2).  a in [0, 1], phases in radians; a = 0,
+    theta1 = theta2 = 0 reduces to the symmetric Bell state psi_plus.
     """
     if not (0.0 <= a <= 1.0 and abs(theta1) < np.inf and abs(theta2) < np.inf):
         raise ValueError(f"need a in [0, 1] and finite phases, got {a=}, {theta1=}, {theta2=}")
     b = np.sqrt(1.0 - a * a)
-    half_a2 = 0.5 * a * a
-    half_b2 = 0.5 * b * b
-    half_ab = 0.5 * a * b
-    p1 = np.exp(-1j * theta1)
-    p2 = np.exp(-1j * theta2)
-    m = np.empty((4, 4), dtype=complex)
-    m[0, 0] = half_a2
-    m[0, 1] = half_ab * p1
-    m[0, 2] = half_ab * p2
-    m[0, 3] = -half_a2 * p1 * p2
-    m[1, 1] = half_b2
-    m[1, 2] = half_b2 * np.conj(p1) * p2  # exp(+i(theta1 - theta2))
-    m[1, 3] = -half_ab * p2
-    m[2, 2] = half_b2
-    m[2, 3] = -half_ab * p1
-    m[3, 3] = half_a2
-    for j in range(4):
-        for k in range(j):
-            m[j, k] = np.conj(m[k, j])
-    return m
+    p1, p2 = np.exp(1j * theta1), np.exp(1j * theta2)
+    v = np.array([a, b * p1, b * p2, -a * p1 * p2])
+    return 0.5 * np.outer(v, v.conj())
 
 
 def bell_diagonal(p1: float, p2: float, p3: float, p4: float) -> np.ndarray:

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from twoatom import qmat
 from twoatom.qmat import InvalidStateError, NotHermitianError, NotPSDError
 from twoatom.entanglement import (
-    NotPureError,
     asymptotic_concurrence,
     concurrence,
-    entropy_of_entanglement,
     is_ppt_separable,
     wootters_lambdas,
 )
@@ -191,39 +189,13 @@ class TestPpt:
         with pytest.raises(error):
             is_ppt_separable(m)
 
-
-class TestEntropyOfEntanglement:
-    def test_product_zero(self, rng):
-        rho = product_state(random_qubit_vector(rng), random_qubit_vector(rng))
-        assert entropy_of_entanglement(rho) == pytest.approx(0.0, abs=1e-9)
-
-    def test_bell_maximal(self):
-        assert entropy_of_entanglement(bell("phi_plus")) == pytest.approx(1.0, abs=1e-12)
-
-    def test_mes_family_maximal(self, rng):
-        for _ in range(10):
-            a = rng.uniform(0, 1)
-            th1, th2 = rng.uniform(0, 2 * np.pi, size=2)
-            assert entropy_of_entanglement(mes(a, th1, th2)) == pytest.approx(
-                1.0, abs=1e-9
-            )
-
-    def test_rejects_mixed(self):
-        with pytest.raises(NotPureError):
-            entropy_of_entanglement(werner(0.5))
-
-    def test_checks_its_input_as_concurrence_does(self):
-        # the purity test alone passes the first two: the reduced state of the
-        # first is diag(1.5, -0.5), and 2 * bell read an entropy of 6.4e-16
-        for m, error, message in [
-            (np.diag([1.5, 0.0, 0.0, -0.5]), NotPSDError, r"^minimum eigenvalue -5.000e-01 below"),
-            (2 * bell("phi_plus"), InvalidStateError,
-             r"^not a valid density matrix: trace=1.000e\+00$"),
-            (0.5 * bell("phi_plus"), InvalidStateError,
-             r"^not a valid density matrix: trace=5.000e-01$"),
-        ]:
-            with pytest.raises(error, match=message):
-                entropy_of_entanglement(m)
+    def test_stack_gives_a_verdict_per_state(self):
+        stack = np.stack([bell("phi_plus"), werner(0.3), bell("psi_minus")])
+        for rho, expected in [(stack[:2].reshape(1, 2, 4, 4), [[False, True]]),
+                              (np.stack([bell("phi_plus")] * 2), [False, False]),
+                              (stack[:0], np.zeros(0, bool))]:
+            verdicts = is_ppt_separable(rho)
+            assert verdicts.dtype == bool and np.array_equal(verdicts, expected)
 
 
 class TestAgreementProperties:
@@ -255,7 +227,8 @@ class TestAgreementProperties:
             assert abs(concurrence(rotated) - concurrence(rho)) < 1e-9
 
     def test_pure_state_consistency(self, rng):
-        # separable pure state <=> projector marginals <=> zero entropy
+        # a pure state has C^2 = 2 (1 - tr rho_A^2) (Wootters, PRL 80, 2245 (1998));
+        # squared, since sqrt is not Lipschitz at 0, where the product states lie
         for _ in range(100):
             if rng.uniform() < 0.5:
                 rho = product_state(
@@ -263,16 +236,9 @@ class TestAgreementProperties:
                 )
             else:
                 rho = random_pure_state(rng)
-            c = concurrence(rho)
-            red = qmat.partial_trace(rho, "A")
+            red = np.trace(rho.reshape(2, 2, 2, 2), axis1=0, axis2=2)
             marginal_purity = float(np.trace(red @ red).real)
-            ent = entropy_of_entanglement(rho)
-            if c < 1e-7:
-                assert marginal_purity > 1 - 1e-7
-                assert ent < 1e-6
-            elif c > 1e-6:  # purity deficit scales as c^2, keep clear of noise
-                assert marginal_purity < 1 - 1e-13
-                assert ent > 1e-13
+            assert abs(concurrence(rho) ** 2 - 2.0 * (1.0 - marginal_purity)) < 1e-13
 
 
 class TestStackedMeasures:
@@ -361,6 +327,16 @@ class TestBlockedStacks:
             parts = np.concatenate([fn(flat[a:b]) for a, b in pieces])
             assert np.array_equal(whole.reshape(parts.shape), parts), fn.__name__
 
+    @pytest.mark.parametrize("kind", ["X", "non-X"])
+    def test_ppt_verdicts_are_the_per_state_ones(self, pools, kind):
+        single = np.array([is_ppt_separable(r) for r in pools[kind]])
+        assert single.any() and not single.all()
+        for shape in self.SHAPES:
+            n = int(np.prod(shape))
+            whole = is_ppt_separable(pools[kind][:n].reshape(shape + (4, 4)))
+            assert whole.dtype == bool and whole.shape == shape
+            assert np.array_equal(whole.ravel(), single[:n])
+
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_one_off_x_state_in_the_last_block_sends_all_to_the_general_path(self, pools, shape):
         n = int(np.prod(shape))
@@ -393,7 +369,7 @@ class TestBlockedStacks:
     def test_a_shape_not_ending_in_4x4_is_named(self, rho):
         shape = re.escape(str(rho.shape))
         message = rf"^not a valid density matrix: shape {shape}, expected \(\.\.\., 4, 4\)$"
-        for fn in (concurrence, wootters_lambdas, is_ppt_separable, entropy_of_entanglement):
+        for fn in (concurrence, wootters_lambdas, is_ppt_separable):
             with pytest.raises(InvalidStateError, match=message) as exc:
                 fn(rho)
             assert exc.value.violations == {"shape": float(rho.size)}, fn.__name__

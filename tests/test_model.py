@@ -16,7 +16,7 @@ from twoatom.model import (
     lindblad_rhs,
     liouvillian,
 )
-from twoatom.states import bell, bell_vector, mes, product_state, werner
+from twoatom.states import bell, mes, product_state, werner
 
 from conftest import ORACLE_STARTS, random_pure_state, random_states, state_defect
 
@@ -60,11 +60,12 @@ class TestLindbladRhs:
 # Dicke basis |11>, psi_plus, psi_minus, |00>: excitation numbers and the
 # unitary whose columns are the kets
 _DICKE_EXCITATIONS = np.array([2, 1, 1, 0])
+_EG, _GE = np.kron(qmat.EXCITED, qmat.GROUND), np.kron(qmat.GROUND, qmat.EXCITED)
 _DICKE = np.column_stack(
     [
         np.kron(qmat.EXCITED, qmat.EXCITED),
-        bell_vector("psi_plus"),
-        bell_vector("psi_minus"),
+        (_EG + _GE) / np.sqrt(2.0),
+        (_EG - _GE) / np.sqrt(2.0),
         np.kron(qmat.GROUND, qmat.GROUND),
     ]
 )

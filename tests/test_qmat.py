@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 
@@ -20,7 +21,6 @@ from twoatom.qmat import (
     InvalidStateError,
     NotHermitianError,
     NotPSDError,
-    partial_trace,
     partial_transpose_a,
     state_health,
     validate_state,
@@ -68,42 +68,6 @@ class TestKron:
         assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
 
-class TestPartialTrace:
-    def test_product_state_leaves_other_factor(self, rng):
-        rho_a, rho_b = _rand_state2(rng), _rand_state2(rng)
-        assert np.allclose(partial_trace(np.kron(rho_a, rho_b), "A"), rho_b, atol=1e-12)
-        assert np.allclose(partial_trace(np.kron(rho_a, rho_b), "B"), rho_a, atol=1e-12)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_product_scales_with_trace(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = _rand_mat2(rng), _rand_mat2(rng)
-        assert np.allclose(partial_trace(np.kron(a, b), "A"), np.trace(a) * b, atol=1e-12)
-
-    def test_singlet_reduces_to_maximally_mixed(self):
-        v = np.zeros(4, dtype=complex)
-        v[1], v[2] = 1.0, -1.0
-        v /= np.sqrt(2)
-        rho = np.outer(v, v.conj())
-        assert np.allclose(partial_trace(rho, "A"), I2 / 2, atol=1e-12)
-
-    def test_ground_ground(self):
-        rho = np.kron(np.diag([0.0, 1.0]), np.diag([0.0, 1.0])).astype(complex)
-        assert np.allclose(partial_trace(rho, "B"), np.diag([0.0, 1.0]), atol=1e-14)
-
-    def test_reduced_state_is_a_state(self, rng):
-        for rho in random_states(11, 10):
-            red = partial_trace(rho, "A")
-            assert abs(np.trace(red) - 1) < 1e-9
-            assert np.abs(red - red.conj().T).max() < 1e-9
-            assert np.linalg.eigvalsh(red)[0] > -1e-9
-
-    def test_bad_subsystem(self):
-        with pytest.raises(ValueError):
-            partial_trace(I4 / 4, "C")
-
-
 class TestPartialTranspose:
     def test_maximally_mixed_fixed(self):
         assert np.array_equal(partial_transpose_a(I4 / 4), I4 / 4)
@@ -121,6 +85,15 @@ class TestPartialTranspose:
         v /= np.sqrt(2)
         pt = partial_transpose_a(np.outer(v, v.conj()))
         assert abs(np.linalg.eigvalsh(pt)[0] - (-0.5)) < 1e-12
+
+    def test_stack_swaps_the_atom_a_indices_of_each_state(self):
+        stack = np.array(random_states(17, 6)).reshape(2, 3, 4, 4)
+        pt = partial_transpose_a(stack)
+        assert pt.shape == stack.shape
+        for s, p in zip(stack.reshape(-1, 4, 4), pt.reshape(-1, 4, 4)):
+            assert np.array_equal(p, partial_transpose_a(s))
+            for i, j, k, l in itertools.product(range(2), repeat=4):
+                assert p[2 * i + j, 2 * k + l] == s[2 * k + j, 2 * i + l]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))

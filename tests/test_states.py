@@ -27,6 +27,32 @@ def _e(j):
     return m
 
 
+def _mes_entries(a, theta1, theta2):
+    """mes built entry by entry from its formulas: the oracle of its ket form."""
+    b = np.sqrt(1.0 - a * a)
+    half_a2, half_b2, half_ab = 0.5 * a * a, 0.5 * b * b, 0.5 * a * b
+    p1, p2 = np.exp(-1j * theta1), np.exp(-1j * theta2)
+    m = np.empty((4, 4), dtype=complex)
+    m[0, 0] = half_a2
+    m[0, 1] = half_ab * p1
+    m[0, 2] = half_ab * p2
+    m[0, 3] = -half_a2 * p1 * p2
+    m[1, 1] = half_b2
+    m[1, 2] = half_b2 * np.conj(p1) * p2  # exp(+i(theta1 - theta2))
+    m[1, 3] = -half_ab * p2
+    m[2, 2] = half_b2
+    m[2, 3] = -half_ab * p1
+    m[3, 3] = half_a2
+    for j in range(4):
+        for k in range(j):
+            m[j, k] = np.conj(m[k, j])
+    return m
+
+
+_MES_PHASES = [(0.0, 0.0), (np.pi, 0.0), (0.0, np.pi), (np.pi / 2, -np.pi / 2), (np.pi, np.pi),
+               (2 * np.pi, -2 * np.pi), (5e-324, -5e-324), (1e6, 3e6)]
+
+
 class TestProductState:
     def test_excited_ground_sits_at_e2(self):
         rho = product_state(qmat.EXCITED, qmat.GROUND)
@@ -78,7 +104,7 @@ class TestBell:
             assert np.abs(evolve(rho, ModelParams(1.0, 1.0), t) - rho).max() < 1e-12
 
     def test_reduced_state_maximally_mixed(self):
-        red = qmat.partial_trace(bell("phi_plus"), "A")
+        red = np.trace(bell("phi_plus").reshape(2, 2, 2, 2), axis1=0, axis2=2)
         assert np.allclose(red, qmat.IDENTITY_2 / 2, atol=1e-12)
 
     @pytest.mark.parametrize("which", BELL_NAMES)
@@ -104,6 +130,16 @@ class TestMes:
         rho = mes(a, th1, th2)
         assert state_defect(rho) <= 1e-12
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [0.0, np.sqrt(0.5), 1.0], ids=["0", "sqrt(1/2)", "1"])
+    @pytest.mark.parametrize("th1,th2", _MES_PHASES, ids=str)
+    def test_entrywise_formulas_at_edges(self, a, th1, th2):
+        assert np.abs(mes(a, th1, th2) - _mes_entries(a, th1, th2)).max() <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    def test_entrywise_formulas_drawn(self, a, th1, th2):
+        assert np.abs(mes(a, th1, th2) - _mes_entries(a, th1, th2)).max() <= 1e-15
 
     def test_stationary_params_match_phase_formula(self, rng):
         # alpha = (1-a^2)(1-cos(th1-th2))/4, beta = a sqrt(1-a^2)(e^{-i th1}-e^{-i th2})/4
