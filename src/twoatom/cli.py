@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 from typing import Callable, TextIO
@@ -80,9 +79,11 @@ def _output(path):
 
 def _report(fmt: str, payload, lines) -> Writer:
     """Writer of ``payload`` as JSON, or for any other ``fmt`` of the lines ``lines()``.
-    A payload is a tree of Python numbers, str, lists and dicts: no cycle, so json checks none."""
+    A payload is a tree of Python numbers, str, lists and dicts.  Its JSON is the text
+    of ``json.dumps(payload, indent=1)`` and a final newline, laid out by the writer of
+    the JSON tables, :func:`statefile._json_text`."""
     if fmt == "json":
-        return lambda fp: fp.write(json.dumps(payload, indent=1, check_circular=False) + "\n")
+        return lambda fp: fp.write(statefile._json_text(payload) + "\n")
     return lambda fp: fp.write("".join(f"{line}\n" for line in lines()))
 
 

@@ -82,9 +82,10 @@ def asymptotic_concurrence(rho0: np.ndarray):
 
     Equals 2|alpha| = |rho22 + rho33 - 2 Re rho23| / 2; validated against the
     full concurrence of the constructed stationary state in the test suite.
-    A float for one 4x4 state, an array for a stack of states.
+    A float for one 4x4 state, an array for a stack of states; any other shape
+    raises ``qmat.InvalidStateError``.
     """
-    r = np.asarray(rho0, dtype=complex)
+    r = qmat._as_states(rho0)
     c = 0.5 * np.abs((r[..., 1, 1] + r[..., 2, 2] - 2.0 * r[..., 1, 2].real).real)
     return c if c.ndim else float(c)
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qmat
 from .model import ModelParams, ParameterError
 
 __all__ = [
@@ -121,8 +122,9 @@ def evolve(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
 
 
 def asymptotic_params(rho0: np.ndarray) -> AsymptoticParams:
-    """(alpha, beta) of the g = 1 stationary state reached from rho0."""
-    (_, r11, r12, r13), (_, _, r22, r23) = np.asarray(rho0, dtype=complex)[1:3].tolist()
+    """(alpha, beta) of the g = 1 stationary state reached from rho0, one 4x4 state;
+    any other shape raises ``qmat.InvalidStateError``."""
+    (_, r11, r12, r13), (_, _, r22, r23) = qmat._as_states(rho0, stack=False)[1:3].tolist()
     alpha = 0.25 * (r11.real + r22.real - 2.0 * r12.real)
     return AsymptoticParams(alpha=min(max(alpha, 0.0), 0.5), beta=0.5 * (r13 - r23))
 
@@ -137,11 +139,13 @@ def asymptotic_state(rho0: np.ndarray, g: float = 1.0) -> np.ndarray:
 
     The dark part P rho0 P, P the projector onto the levels with G = 0
     (|00>, and |a> at g = 1), with |00><00| raised to the trace of rho0.
+    A stack of shape S + (4, 4) gives the limit of each of its states, in the
+    same shape; any other shape raises ``qmat.InvalidStateError``.
     """
     dark = _DARK[ModelParams(1.0, g).gamma == 1.0]
-    r = np.asarray(rho0, dtype=complex)
+    r = qmat._as_states(rho0)
     out = dark @ r @ dark
-    out[3, 3] += r.trace() - out.trace()
+    out[..., 3, 3] += r.trace(0, -2, -1) - out.trace(0, -2, -1)
     return out
 
 

@@ -75,6 +75,16 @@ def dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _as_states(m, stack: bool = True) -> np.ndarray:
+    """``m`` as a complex array: one 4x4 state or, if ``stack``, a stack of shape S + (4, 4).
+    Any other shape raises ``InvalidStateError`` naming it and the shape expected."""
+    m = np.asarray(m, dtype=complex)
+    if (m.shape[-2:] if stack else m.shape) != (4, 4):
+        detail = f"shape {reprlib.repr(m.shape)}, expected {'(..., 4, 4)' if stack else '(4, 4)'}"
+        raise InvalidStateError({"shape": float(m.size)}, detail)
+    return m
+
+
 def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
     """Transpose the atom-A indices only, of one state or of each state of a stack.
 
@@ -148,10 +158,7 @@ def _psd_check(m, measure=np.asarray, measure_x=None) -> np.ndarray:
     Raises ``InvalidStateError`` for any other shape, ``NotHermitianError`` for a defect
     max|m - m^H| above TOL_STRUCTURAL, ``NotPSDError`` when :func:`_psd_min_eigenvalues`
     rejects ``m``, each naming the whole input's extreme.  Blocks give one pass's bits."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        detail = f"shape {reprlib.repr(m.shape)}, expected (..., 4, 4)"
-        raise InvalidStateError({"shape": float(m.size)}, detail)
+    m = _as_states(m)
     # views of m as it is laid out: the factor's rounding follows the layout
     blocks = _blocks(m.reshape(-1, 4, 4))
     x = measure_x is not None and not any(s.reshape(-1, 16)[:, _OFF_X].any() for s in blocks)
@@ -248,10 +255,7 @@ def validate_state(m: np.ndarray) -> np.ndarray:
     Raises ``InvalidStateError`` naming every violated invariant (hermiticity,
     unit trace, positivity) with its magnitude, the non-finite entries or the shape.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        detail = f"shape {reprlib.repr(m.shape)}, expected (4, 4)"
-        raise InvalidStateError({"shape": float(m.size)}, detail)
+    m = _as_states(m, stack=False)
     defect, trace_defect, spectrum = state_health(m)
     measured = {"hermiticity": defect, "trace": trace_defect, "positivity": -spectrum[0]}
     violations = {k: float(v) for k, v in measured.items() if not v <= TOL_STRUCTURAL}

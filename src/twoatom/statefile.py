@@ -34,6 +34,7 @@ import json
 import math
 import re
 import reprlib
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -149,6 +150,45 @@ def state_to_entries(rho: np.ndarray) -> list[list[float]]:
 _RHO_LABELS = [f"{j}{k}" for j in range(1, 5) for k in range(1, 5)]
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=1)`` for a tree of dicts with str keys, lists, tuples,
+    str, bool, None, int and float; ``indent`` is the newline and indentation of the
+    line ``obj`` starts on.
+
+    Each node is spelled by its exact type: a finite float by ``float.__repr__``, an
+    int by ``int.__repr__``, a str by json's own escape.  Anything else (NaN, +-inf,
+    numpy scalars, other types) is spelled by ``json.dumps``, which may raise its
+    ``TypeError``.  json's own encoder is pure Python whenever ``indent`` is set;
+    this takes about half its time on a report.
+    """
+    kind = type(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = indent + " "
+        # a float item, the bulk of a report, is spelled without a call
+        items = [float.__repr__(v) if type(v) is float and math.isfinite(v)
+                 else _json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = indent + " "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    return json.dumps(obj)
+
+
 def write_table(columns: dict, metadata: dict, fmt: str, fp) -> None:
     """Write equal-length columns to ``fp`` as ``"csv"`` or ``"json"``.
 
@@ -185,20 +225,19 @@ def write_table(columns: dict, metadata: dict, fmt: str, fp) -> None:
 def _json_table(cells: dict, metadata: dict) -> str:
     """The ``json.dumps(..., indent=1)`` text of the table, numbers formatted at once.
 
-    json lays out the envelope and one record whose numbers are placeholders;
+    :func:`_json_text` lays out the envelope and one record whose numbers are placeholders;
     the record becomes a ``%``-template and every row fills a copy of it with
     the text json's C encoder gives each float.
     """
     rows = len(next(iter(cells.values()), ()))
     if not rows:
-        return json.dumps({"metadata": metadata, "records": []}, indent=1)
-    envelope = json.dumps({"metadata": metadata, "records": [0]}, indent=1)
+        return _json_text({"metadata": metadata, "records": []})
+    envelope = _json_text({"metadata": metadata, "records": [0]})
     # "records" is the last key, so the last 0 is its placeholder
     head, _, tail = envelope.rpartition("0")
     indent = "\n" + head[head.rindex("\n") + 1:]
-    record = json.dumps(
-        {name: np.zeros(col.shape[1:], dtype=int).tolist() for name, col in cells.items()},
-        indent=1,
+    record = _json_text(
+        {name: np.zeros(col.shape[1:], dtype=int).tolist() for name, col in cells.items()}
     )
     # with indent set, a number is the last token of its line and no other line ends in 0
     record = re.sub(r"0(,?)$", r"%s\1", record.replace("%", "%%"), flags=re.M)

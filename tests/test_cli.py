@@ -278,6 +278,17 @@ class TestAsymptotic:
             assert main(["asymptotic", *state, "--g", g, "--format", fmt]) == EXIT_OK
             assert capsys.readouterr() == (want, "")
 
+    @pytest.mark.parametrize("g", ["1", "0.5"])
+    @pytest.mark.parametrize("name", sorted(_REPORT_STATES))
+    def test_json_report_is_laid_out_by_json(self, tmp_path, capsys, name, g):
+        """README's contract read directly: the JSON report is the text that
+        ``json.dumps(..., indent=1)`` gives for the object it decodes to."""
+        obj = _REPORT_STATES[name][0]
+        state = ["random", "--seed", "5"] if obj is None else [_write_state(tmp_path, "s.json", obj)]
+        assert main(["asymptotic", "--state", *state, "--g", g, "--format", "json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
     def test_maximally_mixed_start(self, tmp_path):
         state = _write_state(tmp_path, "w0.json", {"family": "werner", "params": {"p": 0.0}})
         out = tmp_path / "rep.json"
@@ -449,6 +460,14 @@ class TestPeak:
         rc = main(["peak", "--g", "0.01", "--format", "json", "--output", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["c_max"] > 0.0
+
+    @pytest.mark.parametrize(
+        "gamma0, g", [("1", "0.5"), ("2.5", "0.01"), ("1e300", "1e-300"), ("0.4", "0.999999")]
+    )
+    def test_json_report_is_laid_out_by_json(self, capsys, gamma0, g):
+        assert main(["peak", "--gamma0", gamma0, "--g", g, "--format", "json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=1) + "\n"
 
     def test_degenerate_rates_rejected(self):
         assert main(["peak", "--g", "0"]) == EXIT_UNSUPPORTED

@@ -364,12 +364,13 @@ class TestBlockedStacks:
                 fn(stack)
 
     @pytest.mark.parametrize(
-        "rho", [np.zeros((2, 3, 3)), np.ones(16), np.zeros((2, 8, 8))], ids=["3x3", "flat", "8x8"]
+        "rho", [np.zeros((2, 3, 3)), np.eye(3), np.ones(16), np.zeros((2, 8, 8))],
+        ids=["3x3-stack", "3x3", "flat", "8x8"],
     )
     def test_a_shape_not_ending_in_4x4_is_named(self, rho):
         shape = re.escape(str(rho.shape))
         message = rf"^not a valid density matrix: shape {shape}, expected \(\.\.\., 4, 4\)$"
-        for fn in (concurrence, wootters_lambdas, is_ppt_separable):
+        for fn in (concurrence, wootters_lambdas, is_ppt_separable, asymptotic_concurrence):
             with pytest.raises(InvalidStateError, match=message) as exc:
                 fn(rho)
             assert exc.value.violations == {"shape": float(rho.size)}, fn.__name__

@@ -1,4 +1,5 @@
 import ast
+import re
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -301,6 +302,30 @@ class TestAsymptoticMap:
         for g in (-0.1, 1.5, 7.0, np.nan):
             with pytest.raises(ParameterError):
                 asymptotic_state(EXCITED_GROUND, g)
+
+    @pytest.mark.parametrize("g", [1.0, 0.5])
+    def test_a_stack_gives_each_states_own_limit(self, g):
+        mixed = [bell("psi_minus"), werner(0.3)] * 3
+        for stack in (np.stack(mixed), np.stack(mixed[1:3]),
+                      np.reshape(random_states(157, 6), (2, 3, 4, 4))):
+            out = asymptotic_state(stack, g)
+            assert out.shape == stack.shape
+            for i in np.ndindex(stack.shape[:-2]):
+                assert np.array_equal(out[i], asymptotic_state(stack[i], g))
+
+    @pytest.mark.parametrize("rho", [np.eye(3) / 3, np.ones(16), np.zeros((2, 3, 3))],
+                             ids=["3x3", "flat", "3x3-stack"])
+    def test_a_shape_not_ending_in_4x4_is_named(self, rho):
+        shape = re.escape(str(rho.shape))
+        with pytest.raises(qmat.InvalidStateError, match=rf"shape {shape}, expected \(\.\.\., 4, 4\)$"):
+            asymptotic_state(rho)
+
+    @pytest.mark.parametrize("rho", [np.eye(3), np.ones(16), np.stack([np.eye(4) / 4] * 2)],
+                             ids=["3x3", "flat", "stack"])
+    def test_params_name_a_shape_other_than_4x4(self, rho):
+        shape = re.escape(str(rho.shape))
+        with pytest.raises(qmat.InvalidStateError, match=rf"shape {shape}, expected \(4, 4\)$"):
+            asymptotic_params(rho)
 
 
 class TestExcitedGroundGeneral:

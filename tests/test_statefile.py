@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoatom import qmat
 from twoatom.statefile import (
     StateFileError,
+    _json_text,
     load_state,
     parse_state,
     state_to_entries,
@@ -300,3 +304,36 @@ class TestJsonGolden:
         buf = io.StringIO()
         write_table(columns, {"n": 10}, "json", buf)
         assert buf.getvalue() == _reference_json(columns, {"n": 10})
+
+
+#: keys and strings: quotes, backslashes, control characters, % and non-ASCII text
+_TEXT = st.text(st.sampled_from('"\\%/\n\t\x00\x1f\x7f a0\u00e9\u2028\U0001f600') | st.characters(),
+                max_size=6)
+_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e22, math.inf, -math.inf, math.nan])
+_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | _TEXT
+            | _FLOATS | st.floats() | (_FLOATS | st.floats()).map(np.float64))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """The one JSON writer of reports and tables is ``json.dumps(..., indent=1)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES)
+    def test_matches_json_dumps(self, tree):
+        assert _json_text(tree) == json.dumps(tree, indent=1)
+
+    @pytest.mark.parametrize("leaf", [np.int64(1), np.float32(0.5), {1, 2}, object()],
+                             ids=["int64", "float32", "set", "object"])
+    def test_a_leaf_json_cannot_spell_raises_its_type_error(self, leaf):
+        tree = {"a": [1.0, {"b": leaf}]}
+        with pytest.raises(TypeError) as want:
+            json.dumps(tree, indent=1)
+        with pytest.raises(TypeError) as got:
+            _json_text(tree)
+        assert str(got.value) == str(want.value)
