@@ -9,8 +9,9 @@ stdout, stderr and the exit code of each call.  The list covers
 ``evolve`` (rk4 and closed-form, csv and json, with and without
 ``--with-rho``), ``figure fig1-fig3``, ``asymptotic``, ``concurrence``
 and ``peak``, extreme rates, closed-form calls at g near 0 and 1 and
-stacks of more than one block (513 to 2,001 samples) included, the
-parser's error and help paths, and calls through the two other streams:
+stacks of more than one block (513 to 2,001 samples) included, state
+files that the read boundary rejects, the parser's error and help paths,
+and calls through the two other streams:
 ``--output FILE``, whose bytes count as the call's stdout (a file the
 call did not create as the line ``[no file]``), and ``--state -``,
 written ``... --state - < FILE`` and fed FILE on stdin.  One line per
@@ -42,13 +43,17 @@ THIS_TREE = Path(__file__).resolve().parents[1]
 _NUMBER = re.compile(r"[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
+def _entries(rho) -> dict:
+    """A 4x4 matrix in the raw-entries form."""
+    return {"entries": [[float(z.real), float(z.imag)] for z in np.ravel(rho)]}
+
+
 def _entries_state(seed: int) -> dict:
     """A fixed full-rank state in the raw-entries form."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    return {"entries": [[float(z.real), float(z.imag)] for z in rho.ravel()]}
+    return _entries(rho / np.trace(rho).real)
 
 
 def _x_entries(diagonal, rho14: complex, rho23: complex) -> dict:
@@ -56,7 +61,13 @@ def _x_entries(diagonal, rho14: complex, rho23: complex) -> dict:
     rho = np.diag(np.asarray(diagonal, dtype=complex))
     rho[0, 3], rho[1, 2] = rho14, rho23
     rho[3, 0], rho[2, 1] = np.conj(rho14), np.conj(rho23)
-    return {"entries": [[float(z.real), float(z.imag)] for z in rho.ravel()]}
+    return _entries(rho)
+
+
+def _rotated(spectrum, seed: int) -> dict:
+    """Q diag(spectrum) Q^T for a fixed random orthogonal Q: not an X state, as raw entries."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+    return _entries((q * spectrum) @ q.T)
 
 
 _STATES = {
@@ -75,6 +86,19 @@ _STATES = {
     # complex X states: the other X states are real-valued
     "phi_plus_phased": _x_entries([0.5, 0.0, 0.0, 0.5], 0.5 * np.exp(0.7j), 0.0),
     "x_mixed": _x_entries([0.4, 0.2, 0.15, 0.25], 0.25 * np.exp(1.1j), 0.1 * np.exp(-0.4j)),
+}
+
+#: state files that the read boundary rejects, as file text; kept out of _STATES,
+#: whose loops would multiply them
+_REJECTED = {
+    "indefinite": json.dumps(_rotated([0.6, 0.3, 0.2, -0.1], 3)),
+    "trace_1_2": json.dumps(_entries(0.3 * np.eye(4))),
+    "rho12_only": json.dumps(_entries(np.eye(4) / 4 + 0.1 * np.outer(*np.eye(4)[:2]))),
+    "nan_entry": json.dumps(_x_entries([0.25, 0.25, 0.25, float("nan")], 0.0, 0.0)),
+    "15_entries": json.dumps({"entries": [[0.25, 0.0]] * 15}),
+    "unknown_family": json.dumps({"family": "ghz", "params": {}}),
+    "werner_p2": json.dumps({"family": "werner", "params": {"p": 2}}),
+    "truncated": '{"family": "werner", "params": {"p": 0.',
 }
 
 _PEAK_GAMMA0 = ("0.4", "1", "2.5", "1e5", "1e300")
@@ -133,6 +157,11 @@ def golden_argvs(state_dir: Path) -> list[list[str]]:
         for g in ("1", "0.5"):
             for fmt in ("csv", "json"):
                 argvs.append(["asymptotic", "--state", path, "--g", g, "--format", fmt])
+    # the read boundary's rejections: every line names what the file breaks
+    for name in _REJECTED:
+        path = str(state_dir / f"{name}.json")
+        argvs += [["concurrence", "--state", path],
+                  ["asymptotic", "--state", path, "--format", "json"]]
     for gamma0 in _PEAK_GAMMA0:
         for g in _PEAK_G:
             for fmt in ("csv", "json"):
@@ -252,8 +281,8 @@ def main(argv=None) -> int:
         parser.error(f"{other_src} holds no twoatom/cli.py")
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp)
-        for name, obj in _STATES.items():
-            (state_dir / f"{name}.json").write_text(json.dumps(obj))
+        for name, text in ({k: json.dumps(v) for k, v in _STATES.items()} | _REJECTED).items():
+            (state_dir / f"{name}.json").write_text(text)
         argvs = golden_argvs(state_dir)
         ours = run_tree(THIS_TREE / "src", argvs)
         theirs = run_tree(other_src, argvs)

@@ -114,7 +114,7 @@ def _channels(rho: np.ndarray):
 
 def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     """Right-hand side L(rho) of a 4x4 matrix or a stack; traceless, Hermitian for Hermitian rho."""
-    own, cross = _channels(np.asarray(rho, dtype=complex))
+    own, cross = _channels(qmat._as_states(rho))
     return 0.5 * params.gamma0 * own + 0.5 * params.gamma * cross
 
 
@@ -205,7 +205,7 @@ def _run_plan(t_grid: np.ndarray, step: float):
 
 
 def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1e-3) -> np.ndarray:
-    """States at every grid time from a single integrator pass.
+    """States at every grid time from one 4x4 state rho0 (``qmat._as_states``), in one pass.
 
     Times of shape S give shape S + (4, 4), so a scalar time one 4x4 state, and
     a time of 0 rho0 as is.  The grid must be finite, nonnegative and strictly
@@ -249,7 +249,7 @@ def evolve_series(rho0: np.ndarray, params: ModelParams, t_grid, step: float = 1
         # rows are row-major vec(rho), so they take the transposed advance from
         # the right: row 0 is rho0, row i + 1 the state at t_grid[i]
         traj = np.empty((len(t_grid) + 1, 16), dtype=complex)
-        traj[0] = np.asarray(rho0, dtype=complex).reshape(16)
+        traj[0] = qmat._as_states(rho0, stack=False).reshape(16)
         # runs of one sample on a drifting grid repeat a few (whole, rem) pairs
         advances = {}
         for s, e, n, h in zip(bounds[:-1], bounds[1:], whole, rem):

@@ -92,7 +92,7 @@ def _level_rates(params: ModelParams) -> np.ndarray:
 
 
 def evolve(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
-    """Exact state at time t >= 0 started from rho0 (any 4x4 density matrix).
+    """Exact state at time t >= 0 started from rho0, one 4x4 state (``qmat._as_states``).
 
     Dicke element (i, j) decays at (G_i + G_j)/2 (:func:`_level_rates`);
     |11><11| feeds |s><s| at rate G_1 and |a><a| at G_2, |11><s| feeds |s><00|
@@ -105,7 +105,7 @@ def evolve(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
         raise ParameterError(f"t must be nonnegative and finite, got {t[bad][0]}")
     G = _level_rates(params)
     rate = 0.5 * (G[:, None] + G)
-    r = _dicke(rho0)
+    r = _dicke(qmat._as_states(rho0, stack=False))
     # a rate times a large t may overflow to inf, whose exponential is 0
     with np.errstate(over="ignore"):
         out = r * np.exp(-rate * t[..., None, None])

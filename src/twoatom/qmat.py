@@ -24,9 +24,9 @@ __all__ = [
     "validate_state",
 ]
 
-# Structural tolerance (hermiticity / trace / positivity of states): the one slack
-# of the Hermitian and PSD checks, of validate_state, of the PPT test and of the
-# RK4 positivity guard.
+# Structural tolerance (hermiticity / trace / positivity of states): the one slack of
+# the Hermitian check, the trace check, the PPT test and the one PSD verdict, which the
+# measures, the RK4 positivity guard and validate_state (every state file) share.
 TOL_STRUCTURAL = 1e-9
 
 #: single-atom basis kets, |1> excited, |0> ground
@@ -91,7 +91,7 @@ def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
     The result is Hermitian with the same trace but may be indefinite;
     its spectrum is the content of the separability criterion.
     """
-    r = np.asarray(rho, dtype=complex)
+    r = _as_states(rho)
     return r.reshape(r.shape[:-2] + (2, 2, 2, 2)).swapaxes(-4, -2).reshape(r.shape)
 
 
@@ -111,41 +111,43 @@ def _blocks(a: np.ndarray) -> list:
     return [a] if len(a) < 2 * _BLOCK else [a[s : s + _BLOCK] for s in range(0, len(a), _BLOCK)]
 
 
-def _psd_min_eigenvalues(m: np.ndarray):
-    """None when ``m``, one state or a stack, passes the PSD check, else the
-    minimum eigenvalue of each state's Hermitian part (NaN for a non-finite state).
-
-    A finite input passes at once when every state shifted by TOL_STRUCTURAL * I is positive
-    definite, as it is exactly when its minimum eigenvalue exceeds -TOL_STRUCTURAL, up to
-    rounding at the threshold.  An X state (no nonzero entry off the diagonal and the
-    anti-diagonal) is decided by its 2x2 blocks (:func:`_x_blocks_pd`), any other by a
-    stacked Cholesky factor, both from the lower triangle, in blocks of :data:`_BLOCK`
-    states: one pass's verdict, in working memory that does not grow with the stack.  Only a
-    failing input pays for :func:`state_health`'s spectra; in a stack, each state they
-    reject is asked alone, up to the first that fails alone, and one that passes reads +inf:
-    one verdict per state, in any stack or guard.
-    """
+def _psd_fast(m: np.ndarray) -> bool:
+    """Whether every state of ``m``, one state or a stack, is finite and positive definite
+    once shifted by TOL_STRUCTURAL * I, as when its minimum eigenvalue exceeds -TOL_STRUCTURAL
+    (up to rounding).  An X state (no nonzero entry off the diagonal and the anti-diagonal)
+    is decided by its 2x2 blocks (:func:`_x_blocks_pd`), any other by a stacked Cholesky
+    factor, both from the lower triangle, in blocks of :data:`_BLOCK` states: one pass's
+    verdict, in working memory that does not grow with the stack."""
     for f in _blocks(m.reshape(-1, 16)):
         if not np.isfinite(f).all():
-            break
+            return False
         x = f[:, 1] == 0  # a nonzero m12 rules a state out, at an eighth of the cost
         if x.any():
             x &= ~f[:, _OFF_X].any(-1)
         other = f[~x] if x.any() else f
         if not (other is f or (_x_blocks_pd(f[:, _X_LOWER]) | ~x).all()):
-            break
+            return False
         try:
             if other.size:
                 np.linalg.cholesky(other.reshape(-1, 4, 4) + TOL_STRUCTURAL * IDENTITY_4)
         except np.linalg.LinAlgError:
-            break
-    else:
+            return False
+    return True
+
+
+def _psd_min_eigenvalues(m: np.ndarray):
+    """The one PSD verdict: None when ``m``, one state or a stack, passes, else the minimum
+    eigenvalue of each state's Hermitian part (NaN for a non-finite state).  A state passes
+    when :func:`_psd_fast` accepts it or that eigenvalue is at least -TOL_STRUCTURAL.  Only
+    a rejected input pays for :func:`state_health`'s spectra; in a stack, each state they
+    reject is asked alone, up to the first that fails alone, and one that passes reads +inf:
+    one verdict per state, in any stack, in the RK4 guard and in :func:`validate_state`."""
+    if _psd_fast(m):
         return None
     min_eig = state_health(m)[2][..., 0]
     if m.ndim > 2:
         for i in zip(*np.nonzero(~(min_eig >= -TOL_STRUCTURAL))):
-            alone = _psd_min_eigenvalues(m[i])
-            if alone is not None and not alone >= -TOL_STRUCTURAL:
+            if not _psd_fast(m[i]):
                 break
             min_eig[i] = np.inf
     return min_eig
@@ -252,13 +254,16 @@ def state_health(m: np.ndarray) -> tuple:
 def validate_state(m: np.ndarray) -> np.ndarray:
     """Check the three density-matrix invariants at TOL_STRUCTURAL and return the matrix.
 
-    Raises ``InvalidStateError`` naming every violated invariant (hermiticity,
-    unit trace, positivity) with its magnitude, the non-finite entries or the shape.
+    Raises ``InvalidStateError`` naming every violated invariant (hermiticity, unit trace,
+    positivity) with its :func:`state_health` magnitude, the non-finite entries or the
+    shape.  Positivity is the verdict of :func:`_psd_min_eigenvalues` for a Hermitian ``m``.
     """
     m = _as_states(m, stack=False)
     defect, trace_defect, spectrum = state_health(m)
     measured = {"hermiticity": defect, "trace": trace_defect, "positivity": -spectrum[0]}
     violations = {k: float(v) for k, v in measured.items() if not v <= TOL_STRUCTURAL}
+    if "positivity" in violations and defect <= TOL_STRUCTURAL and _psd_fast(m):
+        del violations["positivity"]
     if violations:
         if np.isnan(defect):
             bad = ", ".join(f"rho{i // 4 + 1}{i % 4 + 1}" for i in np.flatnonzero(~np.isfinite(m)))

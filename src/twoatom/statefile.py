@@ -142,11 +142,6 @@ def _pairs(rho: np.ndarray) -> np.ndarray:
     return np.stack([rho.real, rho.imag], axis=-1).reshape(rho.shape[:-2] + (16, 2))
 
 
-def state_to_entries(rho: np.ndarray) -> list[list[float]]:
-    """Row-major [re, im] pairs; floats round-trip exactly through JSON."""
-    return _pairs(rho).tolist()
-
-
 _RHO_LABELS = [f"{j}{k}" for j in range(1, 5) for k in range(1, 5)]
 
 

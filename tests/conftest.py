@@ -35,6 +35,52 @@ def random_states(seed: int, n: int):
     return [qmat.random_density_matrix(gen) for _ in range(n)]
 
 
+def cholesky_passes(m) -> bool:
+    """The PSD verdict by one Cholesky factor of m + TOL_STRUCTURAL I."""
+    try:
+        np.linalg.cholesky(m + qmat.TOL_STRUCTURAL * qmat.IDENTITY_4)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _unit_trace(w):
+    """The weights ``w`` with the positive ones scaled so that each row sums to 1."""
+    pos = np.where(w > 0, w, 0.0)
+    scale = (1.0 - (w - pos).sum(-1)) / pos.sum(-1)
+    return w - pos + pos * scale[:, None]
+
+
+def threshold_states(seed: int, n: int, spread: float = 1e-6, unit: bool = False):
+    """U diag(w) U^H with w_4 = -TOL_STRUCTURAL (1 +- spread): at the PSD threshold.
+    With ``unit``, w_1..w_3 are scaled to sum to 1 - w_4, so each state has unit trace."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4)))
+    w = np.empty((n, 4))
+    w[:, :3] = rng.uniform(0.1, 1.0, (n, 3))
+    w[:, 3] = -qmat.TOL_STRUCTURAL * (1.0 + rng.uniform(-spread, spread, n))
+    w = _unit_trace(w) if unit else w
+    return (u * w[:, None, :]) @ qmat.dag(u)
+
+
+def x_threshold_states(seed: int, n: int, spread: float = 1e-6, unit: bool = False):
+    """X states whose blocks {1,4} and {2,3} are V diag(w) V^H for Haar-random
+    2x2 unitaries V, one eigenvalue of a random block -TOL_STRUCTURAL (1 +- spread).
+    With ``unit``, the other three eigenvalues are scaled to unit trace."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, (n, 2, 2))
+    w[np.arange(n), rng.integers(0, 2, n), 1] = -qmat.TOL_STRUCTURAL * (
+        1.0 + rng.uniform(-spread, spread, n)
+    )
+    w = _unit_trace(w.reshape(n, 4)).reshape(n, 2, 2) if unit else w
+    v, _ = np.linalg.qr(rng.standard_normal((n, 2, 2, 2)) + 1j * rng.standard_normal((n, 2, 2, 2)))
+    blocks = (v * w[..., None, :]) @ qmat.dag(v)
+    m = np.zeros((n, 4, 4), dtype=complex)
+    m[:, [[0], [3]], [0, 3]] = blocks[:, 0]
+    m[:, [[1], [2]], [1, 2]] = blocks[:, 1]
+    return m
+
+
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     """Rank-1 random state from a normalized complex Gaussian vector."""
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -27,6 +27,8 @@ from twoatom.cli import (
 )
 from twoatom.model import ModelParams, ParameterError
 
+from conftest import cholesky_passes, threshold_states
+
 
 def _write_state(tmp_path, name, obj):
     path = tmp_path / name
@@ -353,6 +355,16 @@ class TestConcurrenceCommand:
         rc = main(["concurrence", "--state", state])
         assert rc == EXIT_OK
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_state_file_at_the_threshold_gets_the_verdict_of_the_measures(self, tmp_path, capsys):
+        """A unit-trace state whose smallest eigenvalue lies below -1e-9 but which
+        concurrence accepts (m + 1e-9 I has a Cholesky factor) is read from a file too."""
+        rho = next(m for m in threshold_states(35, 2000, spread=2e-6, unit=True)
+                   if qmat.state_health(m)[2][0] < -qmat.TOL_STRUCTURAL
+                   and cholesky_passes(m))
+        state = _write_state(tmp_path, "t.json", {"entries": statefile._pairs(rho).tolist()})
+        assert main(["concurrence", "--state", state]) == EXIT_OK
+        assert capsys.readouterr().out == f"{twoatom.concurrence(rho)!r}\n"
 
 
 class TestStateOnStdin:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,13 @@ class TestModelParams:
 
 
 class TestLindbladRhs:
+    @pytest.mark.parametrize("rho", [np.eye(3), np.ones((2, 8))], ids=["3x3", "2x8"])
+    def test_a_shape_not_ending_in_4x4_is_named(self, rho):
+        shape = re.escape(str(rho.shape))
+        expected = rf"shape {shape}, expected \(\.\.\., 4, 4\)$"
+        with pytest.raises(qmat.InvalidStateError, match=expected):
+            lindblad_rhs(rho, P_G1)
+
     def test_ground_ground_stationary(self):
         rho = product_state(qmat.GROUND, qmat.GROUND)
         for params in (P_G1, ModelParams(1.0, 0.3), ModelParams(2.0, 0.0)):
@@ -299,6 +307,14 @@ def _rk4_loop(rho, params, t_grid, step):
 
 
 class TestEvolveSeries:
+    @pytest.mark.parametrize("rho0", [np.eye(3) / 3, np.ones((2, 8)) / 4,
+                                      np.stack([werner(0.7), bell("psi_minus")])],
+                             ids=["3x3", "2x8", "stack"])
+    def test_a_start_other_than_4x4_is_named(self, rho0):
+        shape = re.escape(str(rho0.shape))
+        with pytest.raises(qmat.InvalidStateError, match=rf"shape {shape}, expected \(4, 4\)$"):
+            evolve_series(rho0, ModelParams(1.0, 0.5), [0.0, 1.0])
+
     def test_single_point_grid(self, rng):
         rho = qmat.random_density_matrix(rng)
         out = evolve_series(rho, P_G1, [0.0])

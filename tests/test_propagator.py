@@ -83,6 +83,14 @@ class TestEvolveG1:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("rho0", [np.eye(3) / 3, np.ones((2, 8)) / 4,
+                                      np.stack([werner(0.7), bell("psi_minus")])],
+                             ids=["3x3", "2x8", "stack"])
+    def test_a_start_other_than_4x4_is_named(self, rho0):
+        shape = re.escape(str(rho0.shape))
+        with pytest.raises(qmat.InvalidStateError, match=rf"shape {shape}, expected \(4, 4\)$"):
+            evolve(rho0, ModelParams(1.0, 0.5), [0.0, 1.0])
+
     G_VALUES = (0.0, 1e-8, 0.3, 0.7, 1.0 - 1e-8, 1.0)
 
     @pytest.mark.parametrize("g", G_VALUES)

@@ -26,7 +26,9 @@ from twoatom.qmat import (
     validate_state,
 )
 
-from conftest import random_states, state_defect
+from conftest import (
+    cholesky_passes, random_states, state_defect, threshold_states, x_threshold_states,
+)
 
 I2 = qmat.IDENTITY_2
 I4 = qmat.IDENTITY_4
@@ -69,6 +71,12 @@ class TestKron:
 
 
 class TestPartialTranspose:
+    @pytest.mark.parametrize("rho", [np.eye(3), np.ones((2, 8))], ids=["3x3", "2x8"])
+    def test_a_shape_not_ending_in_4x4_is_named(self, rho):
+        shape = re.escape(str(rho.shape))
+        with pytest.raises(InvalidStateError, match=rf"shape {shape}, expected \(\.\.\., 4, 4\)$"):
+            partial_transpose_a(rho)
+
     def test_maximally_mixed_fixed(self):
         assert np.array_equal(partial_transpose_a(I4 / 4), I4 / 4)
 
@@ -175,16 +183,6 @@ class TestPsdFactor:
             assert np.abs(wootters_lambdas(rho[None])[0] - single).max() <= 1e-14
 
 
-def _threshold_states(seed, n):
-    """U diag(w) U^H with w_4 = -TOL_STRUCTURAL (1 +- 1e-6): at the PSD threshold."""
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4)))
-    w = np.empty((n, 4))
-    w[:, :3] = rng.uniform(0.1, 1.0, (n, 3))
-    w[:, 3] = -qmat.TOL_STRUCTURAL * (1.0 + rng.uniform(-1e-6, 1e-6, n))
-    return (u * w[:, None, :]) @ qmat.dag(u)
-
-
 def _accepts(check):
     try:
         check()
@@ -193,41 +191,40 @@ def _accepts(check):
     return True
 
 
-def _x_threshold_states(seed, n):
-    """X states whose blocks {1,4} and {2,3} are V diag(w) V^H for Haar-random
-    2x2 unitaries V, one eigenvalue of a random block -TOL_STRUCTURAL (1 +- 1e-6)."""
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.1, 1.0, (n, 2, 2))
-    w[np.arange(n), rng.integers(0, 2, n), 1] = -qmat.TOL_STRUCTURAL * (
-        1.0 + rng.uniform(-1e-6, 1e-6, n)
-    )
-    v, _ = np.linalg.qr(rng.standard_normal((n, 2, 2, 2)) + 1j * rng.standard_normal((n, 2, 2, 2)))
-    blocks = (v * w[..., None, :]) @ qmat.dag(v)
-    m = np.zeros((n, 4, 4), dtype=complex)
-    m[:, [[0], [3]], [0, 3]] = blocks[:, 0]
-    m[:, [[1], [2]], [1, 2]] = blocks[:, 1]
-    return m
-
-
-def _cholesky_passes(m):
-    """The PSD verdict by one stacked Cholesky factor of m + TOL_STRUCTURAL I."""
+def _valid(m):
+    """validate_state's verdict on a state whose one possible violation is positivity."""
     try:
-        np.linalg.cholesky(m + qmat.TOL_STRUCTURAL * I4)
-    except np.linalg.LinAlgError:
+        validate_state(m)
+    except InvalidStateError as exc:
+        assert set(exc.violations) == {"positivity"}
         return False
     return True
 
 
 class TestPsdVerdict:
-    """A state at the threshold gets one PSD verdict: alone, in a stack and
-    from the RK4 positivity guard."""
+    """A state at the threshold gets one PSD verdict: alone, in a stack, from the
+    RK4 positivity guard and from validate_state, which reads every state file."""
+
+    @pytest.mark.parametrize("states", [threshold_states, x_threshold_states])
+    def test_state_files_get_the_verdict_of_the_measures_and_the_guard(self, states):
+        """Unit-trace states whose smallest eigenvalue (of a block, for X states) is
+        -TOL_STRUCTURAL (1 +- 2e-6).  A validate_state that read the spectrum alone
+        rejected 13 non-X and 9 X states of these draws that the measures accept."""
+        verdicts = [
+            (_valid(m), _accepts(lambda: concurrence(m)),
+             _accepts(lambda: concurrence(np.stack([I4 / 4, m]))),
+             _accepts(lambda: _check_positivity(m[None], [1.0])))
+            for m in states(35, 2000, spread=2e-6, unit=True)
+        ]
+        assert [v for v in verdicts if len(set(v)) > 1] == []
+        assert {v[0] for v in verdicts} == {True, False}  # both sides of the threshold
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_single_stack_and_guard_agree(self, seed):
         verdicts = [
             (_accepts(lambda: concurrence(m)), _accepts(lambda: concurrence(m[None])),
              _accepts(lambda: _check_positivity(m[None], [1.0])))
-            for m in _threshold_states(seed, 500)
+            for m in threshold_states(seed, 500)
         ]
         assert [v for v in verdicts if len(set(v)) > 1] == []
         assert {v[0] for v in verdicts} == {True, False}  # both sides of the threshold
@@ -237,24 +234,24 @@ class TestPsdVerdict:
         """An X state is decided by its blocks, the non-X states of a stack by
         Cholesky.  The non-X threshold states beside it are ones that both
         Cholesky and the spectra accept, so the stack's verdict is the X state's."""
-        others = _threshold_states(seed, 60)
-        others = others[[_cholesky_passes(o) and state_health(o)[2][0] >= -qmat.TOL_STRUCTURAL
+        others = threshold_states(seed, 60)
+        others = others[[cholesky_passes(o) and state_health(o)[2][0] >= -qmat.TOL_STRUCTURAL
                          for o in others]][:8]
         assert len(others) == 8
         verdicts = [
             (_accepts(lambda: concurrence(m)), _accepts(lambda: concurrence(m[None])),
              _accepts(lambda: concurrence(np.insert(others, i % 9, m, axis=0))),
              _accepts(lambda: _check_positivity(m[None], [1.0])))
-            for i, m in enumerate(_x_threshold_states(seed, 500))
+            for i, m in enumerate(x_threshold_states(seed, 500))
         ]
         assert [v for v in verdicts if len(set(v)) > 1] == []
         assert {v[0] for v in verdicts} == {True, False}  # both sides of the threshold
 
-    @pytest.mark.parametrize("states", [_threshold_states, _x_threshold_states])
+    @pytest.mark.parametrize("states", [threshold_states, x_threshold_states])
     def test_a_pair_passes_exactly_when_both_states_pass_alone(self, states):
         """A stack that fails its fast verdict takes the spectra, which at the
         threshold can reject a state that passes alone (pair 18 of
-        _threshold_states(0, 500)); such a state is asked alone."""
+        threshold_states(0, 500)); such a state is asked alone."""
         m = states(0, 500)
         alone = [_accepts(lambda: concurrence(rho)) for rho in m]
         disagreements = [
@@ -325,7 +322,7 @@ class TestXStateVerdict:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdicts = [qmat._psd_min_eigenvalues(m) is None for m in states]
-            assert verdicts == [_cholesky_passes(m) for m in states]
+            assert verdicts == [cholesky_passes(m) for m in states]
             assert verdicts == [qmat._psd_min_eigenvalues(m[None]) is None for m in states]
             assert verdicts == [_accepts(lambda: _check_positivity(m[None], [1.0])) for m in states]
         assert verdicts == ([True] * 6 if scale < 1.0 else [True] * 3 + [False] * 3)
@@ -391,6 +388,16 @@ class TestValidateState:
             validate_state(m)
         assert "hermiticity" in exc.value.violations
         assert exc.value.violations["hermiticity"] == pytest.approx(1.0)
+
+    def test_non_hermitian_input_keeps_the_positivity_of_its_spectrum(self):
+        """The PSD verdict reads the lower triangle, here diagonal and PSD; the Hermitian
+        part, with 1.0 at rho14 and rho41, is indefinite and stays named."""
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        m[0, 3] = 2.0
+        with pytest.raises(InvalidStateError) as exc:
+            validate_state(m)
+        assert set(exc.value.violations) == {"hermiticity", "positivity"}
+        assert exc.value.violations["positivity"] == pytest.approx(np.sqrt(1.0625) - 0.25)
 
     def test_random_ensemble_is_valid(self):
         for rho in random_states(5, 20):

@@ -12,9 +12,9 @@ from twoatom import qmat
 from twoatom.statefile import (
     StateFileError,
     _json_text,
+    _pairs,
     load_state,
     parse_state,
-    state_to_entries,
     write_table,
 )
 from twoatom.states import bell, mems, mes, product_state, werner
@@ -23,7 +23,7 @@ from conftest import random_states
 
 
 def _dump_state(rho, fp):
-    json.dump({"entries": state_to_entries(rho)}, fp, indent=1)
+    json.dump({"entries": _pairs(rho).tolist()}, fp, indent=1)
     fp.write("\n")
 
 
@@ -132,7 +132,7 @@ class TestFamilies:
         assert str(info.value) == message
 
     def test_rejects_invalid_entries_matrix(self):
-        entries = state_to_entries(np.eye(4, dtype=complex))  # trace 4, not a state
+        entries = _pairs(np.eye(4, dtype=complex)).tolist()  # trace 4, not a state
         with pytest.raises(qmat.InvalidStateError):
             parse_state({"entries": entries})
 
@@ -215,14 +215,14 @@ class TestTimeSeries:
             '{\n "metadata": {},\n "records": [\n  {\n   "t": 0.5,\n   "rho": [\n'
             "    [\n     0.1,\n     0.0\n    ],\n    [\n     0.2,\n     -0.3\n    ],\n"
         )
-        assert json.loads(text)["records"][0]["rho"] == state_to_entries(rho[0])
+        assert json.loads(text)["records"][0]["rho"] == _pairs(rho[0]).tolist()
 
 
 def _reference_json(columns, metadata):
     """The table as ``json.dump`` lays out a list of per-sample dicts."""
     names = list(columns)
     cells = [
-        [state_to_entries(x) for x in col] if np.iscomplexobj(col) else np.asarray(col).tolist()
+        [_pairs(x).tolist() for x in col] if np.iscomplexobj(col) else np.asarray(col).tolist()
         for col in columns.values()
     ]
     records = [dict(zip(names, row)) for row in zip(*cells)]
@@ -238,7 +238,7 @@ def _reference_csv(columns):
     for name, col in columns.items():
         if np.iscomplexobj(col):
             header += [f"{name}_{part}_{lbl}" for lbl in labels for part in ("re", "im")]
-            cells.append([sum(state_to_entries(x), []) for x in col])
+            cells.append([sum(_pairs(x).tolist(), []) for x in col])
         else:
             header.append(name)
             cells.append([[x] for x in np.asarray(col, dtype=float).tolist()])
